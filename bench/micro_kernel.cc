@@ -2,6 +2,8 @@
 // ablations DESIGN.md calls out:
 //
 //  * accounting on/off cost per work item (the source of the ~8%),
+//  * proportional-share dispatch with N backlogged owners (the stride
+//    scheduler's pick among N ready threads),
 //  * protection-domain crossing cost sensitivity — including the paper's
 //    prediction that replacing the buggy OSF1 PAL code (full TLB
 //    invalidate per crossing) would cut per-domain overhead by >2x,
@@ -12,6 +14,10 @@
 // google-benchmark's wall-clock numbers measure the simulator itself.
 
 #include <benchmark/benchmark.h>
+
+#include <functional>
+#include <memory>
+#include <vector>
 
 #include "src/workload/experiment.h"
 #include "src/workload/wire.h"
@@ -40,6 +46,41 @@ void BM_DispatchLoop(benchmark::State& state) {
       static_cast<double>(kernel.kernel_owner()->usage().cycles) / static_cast<double>(items);
 }
 BENCHMARK(BM_DispatchLoop)->Arg(0)->Arg(1)->ArgNames({"accounting"});
+
+// --- Stride dispatch: N backlogged owners -------------------------------------
+//
+// N owners with mixed tickets, one thread each, every work item re-queueing
+// its successor and yielding: N threads stay ready and each dispatch is a
+// proportional-share pick among them. One iteration fires one item's
+// completion, which enqueues its thread and dispatches the next.
+
+void BM_StrideDispatch(benchmark::State& state) {
+  const auto owners = static_cast<size_t>(state.range(0));
+  EventQueue eq;
+  KernelConfig kc;
+  kc.scheduler = SchedulerKind::kProportionalShare;
+  kc.start_softclock = false;
+  Kernel kernel(&eq, kc);
+  std::vector<std::unique_ptr<Owner>> pool;
+  // Each loop re-pushes itself; the vector is sized up front so the
+  // closures can hold stable pointers to their own slot.
+  std::vector<std::function<void()>> loops(owners);
+  for (size_t i = 0; i < owners; ++i) {
+    pool.push_back(std::make_unique<Owner>(OwnerType::kKernel, kernel.NextOwnerId(), "bench"));
+    pool.back()->sched().tickets = 100 * (1 + i % 4);
+    kernel.RegisterOwner(pool.back().get(), "bench");
+    Thread* t = kernel.CreateThread(pool.back().get(), "bench");
+    std::function<void()>* loop = &loops[i];
+    *loop = [t, loop] { t->Push(1000, kKernelDomain, *loop, /*yields=*/true); };
+    t->Push(1000, kKernelDomain, *loop, /*yields=*/true);
+  }
+  const uint64_t before = kernel.dispatch_count();
+  for (auto _ : state) {
+    eq.Step();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(kernel.dispatch_count() - before));
+}
+BENCHMARK(BM_StrideDispatch)->Arg(1)->Arg(16)->Arg(64)->Arg(256)->ArgNames({"owners"});
 
 // --- IOBuffer allocation: cold vs cache hit -----------------------------------
 

@@ -4,7 +4,9 @@
 //    delivery scheduled into the other stream (the shared-link pattern),
 //  * fan-out: a hub posting one transaction per worker stream each round,
 //  * timer storm: independent self-rescheduling timers on many streams,
-//    through the timer wheel.
+//    through the timer wheel,
+//  * steady depth: ScheduleAt + Step against a heap held at a constant
+//    depth (the event heap's push and pop alone).
 //
 // Wall-clock events/sec here measure the simulator itself and are
 // host-machine dependent.
@@ -16,6 +18,7 @@
 #include <vector>
 
 #include "src/sim/event_queue.h"
+#include "src/sim/rng.h"
 
 namespace escort {
 namespace {
@@ -126,6 +129,30 @@ void BM_TimerStorm(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(events));
 }
 BENCHMARK(BM_TimerStorm);
+
+// One ScheduleAt and one Step per iteration against `depth` pending events:
+// the depth stays constant and every operation sifts a heap of that size.
+void BM_SteadyDepth(benchmark::State& state) {
+  const auto depth = static_cast<size_t>(state.range(0));
+  constexpr Cycles kHorizon = Cycles{1} << 20;
+  Rng rng(1);
+  std::vector<Cycles> delays(4096);
+  for (Cycles& d : delays) {
+    d = 1 + rng.NextBelow(kHorizon);
+  }
+  EventQueue eq;
+  for (size_t i = 0; i < depth; ++i) {
+    eq.ScheduleAt(rng.NextBelow(kHorizon), [] {});
+  }
+  size_t next = 0;
+  for (auto _ : state) {
+    eq.ScheduleAt(eq.now() + delays[next], [] {});
+    next = (next + 1) % delays.size();
+    eq.Step();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_SteadyDepth)->Arg(64)->Arg(4096)->Arg(65536)->ArgNames({"depth"});
 
 }  // namespace
 }  // namespace escort

@@ -1,6 +1,7 @@
 #include "src/kernel/scheduler.h"
 
 #include <algorithm>
+#include <cassert>
 #include <limits>
 
 namespace escort {
@@ -63,37 +64,29 @@ void ProportionalShareScheduler::Enqueue(Thread* t) {
     s.pass = global_pass_;
     s.pass_initialized = true;
   }
-  ready_.push_back(t);
-  ++live_;
-}
-
-void ProportionalShareScheduler::CollectTombstones() {
-  while (!ready_.empty() && ready_.front() == nullptr) {
-    ready_.pop_front();
-  }
-  if (ready_.size() > 2 * live_) {
-    ready_.erase(std::remove(ready_.begin(), ready_.end(), nullptr), ready_.end());
-  }
+  ready_.push_back(Entry{s.pass, next_seq_++, t});
+  std::push_heap(ready_.begin(), ready_.end(), Later());
 }
 
 Thread* ProportionalShareScheduler::Dequeue() {
-  auto best = ready_.end();
-  for (auto it = ready_.begin(); it != ready_.end(); ++it) {
-    if (*it == nullptr) {
-      continue;
-    }
-    if (best == ready_.end() ||
-        (*it)->owner()->sched().pass < (*best)->owner()->sched().pass) {
-      best = it;
-    }
-  }
-  if (best == ready_.end()) {
+  if (ready_.empty()) {
     return nullptr;
   }
-  Thread* t = *best;
-  *best = nullptr;
-  --live_;
-  CollectTombstones();
+  // Re-key the top until its snapshot is its owner's current pass.
+  for (;;) {
+    Entry& top = ready_.front();
+    const uint64_t pass = top.thread->owner()->sched().pass;
+    assert(top.pass <= pass && "stride snapshot above its owner's pass");
+    if (top.pass == pass) {
+      break;
+    }
+    std::pop_heap(ready_.begin(), ready_.end(), Later());
+    ready_.back().pass = pass;
+    std::push_heap(ready_.begin(), ready_.end(), Later());
+  }
+  std::pop_heap(ready_.begin(), ready_.end(), Later());
+  Thread* t = ready_.back().thread;
+  ready_.pop_back();
   // The global virtual time is the *minimum* pass in the system (the pass
   // of the owner just selected). Arriving owners join at this time: they
   // cannot hoard credit from a sleep, and a high-ticket owner that blocks
@@ -103,11 +96,11 @@ Thread* ProportionalShareScheduler::Dequeue() {
 }
 
 void ProportionalShareScheduler::Remove(Thread* t) {
-  auto it = std::find(ready_.begin(), ready_.end(), t);
+  auto it = std::find_if(ready_.begin(), ready_.end(),
+                         [t](const Entry& e) { return e.thread == t; });
   if (it != ready_.end()) {
-    *it = nullptr;
-    --live_;
-    CollectTombstones();
+    ready_.erase(it);
+    std::make_heap(ready_.begin(), ready_.end(), Later());
   }
 }
 
@@ -119,7 +112,7 @@ void ProportionalShareScheduler::AccountRun(Thread* t, Cycles used) {
   s.pass += used * kStrideScale / tickets;
 }
 
-bool ProportionalShareScheduler::Empty() const { return live_ == 0; }
+bool ProportionalShareScheduler::Empty() const { return ready_.empty(); }
 
 // --- EdfScheduler -------------------------------------------------------------
 

@@ -13,6 +13,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/kernel/thread.h"
 
@@ -59,6 +60,14 @@ class PriorityScheduler : public Scheduler {
 // owner with the smallest pass value runs next and its pass advances in
 // inverse proportion to its tickets. This is the scheduler that sustains the
 // 1 MB/s QoS stream in Figures 10 and 11.
+//
+// Ready threads sit in a binary min-heap keyed (pass snapshot, enqueue
+// sequence). An owner's pass only grows while its threads wait (AccountRun
+// adds; Enqueue raises only a pass below global_pass_, which no queued owner
+// has), so a snapshot is a lower bound on its owner's current pass. Dequeue
+// re-keys the top until its snapshot is current; that top then has the
+// minimum current pass, ties going to the earliest enqueue — the thread a
+// scan of every ready thread would pick.
 class ProportionalShareScheduler : public Scheduler {
  public:
   void Enqueue(Thread* t) override;
@@ -71,15 +80,21 @@ class ProportionalShareScheduler : public Scheduler {
  private:
   static constexpr uint64_t kStrideScale = 1 << 20;
 
-  // Dequeue picks the minimum-pass thread, ties broken by queue position
-  // — so removal must not disturb the order of the survivors. A removed
-  // thread leaves a null tombstone instead of shifting the deque;
-  // tombstones are popped eagerly at the front and compacted when they
-  // outnumber live entries.
-  void CollectTombstones();
+  struct Entry {
+    uint64_t pass;  // the owner's pass when keyed; never above its current pass
+    uint64_t seq;   // enqueue order
+    Thread* thread;
+  };
 
-  std::deque<Thread*> ready_;
-  size_t live_ = 0;
+  // Heap comparator: true when `a` runs after `b`.
+  struct Later {
+    bool operator()(const Entry& a, const Entry& b) const {
+      return a.pass != b.pass ? a.pass > b.pass : a.seq > b.seq;
+    }
+  };
+
+  std::vector<Entry> ready_;
+  uint64_t next_seq_ = 0;
   uint64_t global_pass_ = 0;
 };
 

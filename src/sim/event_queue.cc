@@ -1,6 +1,7 @@
 #include "src/sim/event_queue.h"
 
 #include <algorithm>
+#include <cassert>
 #include <limits>
 #include <utility>
 
@@ -14,7 +15,7 @@ constexpr Cycles kNever = std::numeric_limits<Cycles>::max();
 
 }  // namespace
 
-bool EventQueue::Later::operator()(const Event& a, const Event& b) const {
+bool EventQueue::Later::operator()(const Node& a, const Node& b) const {
   if (a.key.when != b.key.when) {
     return a.key.when > b.key.when;
   }
@@ -42,11 +43,34 @@ EventQueue::Key EventQueue::NextKey(Cycles when) {
 }
 
 EventQueue::EventId EventQueue::Push(Key key, StreamId exec, bool txn, Callback fn) {
-  EventId id = ledger_.Append();
-  heap_.push_back(Event{key, id, exec, txn, std::move(fn)});
+  uint32_t index;
+  if (!free_slots_.empty()) {
+    index = free_slots_.back();
+    free_slots_.pop_back();
+  } else {
+    assert(slots_.size() < (size_t{1} << 32) && "event slot index overflow");
+    index = static_cast<uint32_t>(slots_.size());
+    slots_.emplace_back();
+  }
+  Slot& slot = slots_[index];
+  slot.fn = std::move(fn);
+  slot.exec = exec;
+  slot.live = true;
+  heap_.push_back(Node{key, index, slot.gen, txn});
   std::push_heap(heap_.begin(), heap_.end(), Later());
-  ++live_;
-  return id;
+  return (static_cast<EventId>(index) << 32) | slot.gen;
+}
+
+void EventQueue::FreeSlot(uint32_t index) {
+  Slot& slot = slots_[index];
+  slot.fn = nullptr;
+  slot.live = false;
+  if (++slot.gen == 0) {
+    // Generations never wrap: a slot whose generation is spent is retired,
+    // so a stale id or node can never match a later occupant.
+    return;
+  }
+  free_slots_.push_back(index);
 }
 
 EventQueue::EventId EventQueue::ScheduleAt(Cycles when, Callback fn) {
@@ -64,10 +88,15 @@ void EventQueue::PostSequenced(Callback fn) {
 }
 
 bool EventQueue::Cancel(EventId id) {
-  if (!ledger_.Mark(id)) {
+  const uint32_t index = static_cast<uint32_t>(id >> 32);
+  if (index >= slots_.size()) {
     return false;
   }
-  --live_;
+  const Slot& slot = slots_[index];
+  if (!slot.live || slot.gen != static_cast<uint32_t>(id)) {
+    return false;
+  }
+  FreeSlot(index);
   return true;
 }
 
@@ -96,8 +125,8 @@ EventQueue::StreamId EventQueue::NewStream() {
   return static_cast<StreamId>(next_seq_.size() - 1);
 }
 
-void EventQueue::SkipCancelled() const {
-  while (!heap_.empty() && ledger_.IsConsumed(heap_.front().id)) {
+void EventQueue::SkipStale() const {
+  while (!heap_.empty() && slots_[heap_.front().slot].gen != heap_.front().gen) {
     std::pop_heap(heap_.begin(), heap_.end(), Later());
     heap_.pop_back();
   }
@@ -110,7 +139,7 @@ bool EventQueue::TimerFirst(TimerKey* tk) const {
   if (heap_.empty()) {
     return true;
   }
-  const Event& top = heap_.front();
+  const Node& top = heap_.front();
   if (tk->when != top.key.when) {
     return tk->when < top.key.when;
   }
@@ -128,7 +157,7 @@ void EventQueue::RunAs(Context ctx, const Callback& fn) {
 }
 
 bool EventQueue::FireNext(Cycles deadline) {
-  SkipCancelled();
+  SkipStale();
   TimerKey tk;
   if (TimerFirst(&tk)) {
     if (tk.when > deadline) {
@@ -145,18 +174,21 @@ bool EventQueue::FireNext(Cycles deadline) {
   if (heap_.empty() || heap_.front().key.when > deadline) {
     return false;
   }
-  // Move the entry out before running it so the callback can reschedule.
   std::pop_heap(heap_.begin(), heap_.end(), Later());
-  Event ev = std::move(heap_.back());
+  const Node node = heap_.back();
   heap_.pop_back();
-  ledger_.Mark(ev.id);  // mark consumed so Cancel() on a fired id fails
-  --live_;
-  now_ = ev.key.when;
-  if (ev.txn) {
-    RunAs(Context{ev.key.stream, true, ev.key.seq, 0}, ev.fn);
+  // Move the callback out and free its slot before running it: the id is
+  // dead once the entry fires, and the callback may schedule into the slot.
+  Slot& slot = slots_[node.slot];
+  Callback fn = std::move(slot.fn);
+  const StreamId exec = slot.exec;
+  FreeSlot(node.slot);
+  now_ = node.key.when;
+  if (node.txn) {
+    RunAs(Context{node.key.stream, true, node.key.seq, 0}, fn);
   } else {
     ++fired_;
-    RunAs(Context{ev.exec}, ev.fn);
+    RunAs(Context{exec}, fn);
   }
   return true;
 }
@@ -177,7 +209,7 @@ void EventQueue::RunToCompletion() {
 }
 
 bool EventQueue::PeekNext(Cycles* when) const {
-  SkipCancelled();
+  SkipStale();
   TimerKey tk;
   if (TimerFirst(&tk)) {
     *when = tk.when;

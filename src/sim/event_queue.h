@@ -19,6 +19,14 @@
 //    event and timer due at its time; `minor` numbers the entries it
 //    schedules.
 //
+// Storage. The heap holds small POD nodes (the key, the transaction flag
+// and a generation-tagged reference to a callback slot); callbacks sit in a
+// pool of slots that sifts never move. An EventId names a slot and its
+// generation, like a TimerId. Firing or cancelling an event frees its slot
+// and bumps the generation, so the id goes dead at once; a cancelled
+// event's node stays in the heap until it reaches the top, where the
+// generation mismatch drops it unfired.
+//
 // Timers (ScheduleTimerAt) live in a hierarchical timer wheel with O(1) arm
 // and cancel. A timer draws the same key a ScheduleAt at that point would
 // have drawn, and the queue merges the wheel's due timers with the event
@@ -28,7 +36,6 @@
 #define SRC_SIM_EVENT_QUEUE_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -41,63 +48,13 @@ namespace escort {
 class DeltaSeries;
 class MetricsRegistry;
 
-// Tracks which event ids have been consumed (fired or cancelled). Ids are
-// dense and monotonically increasing, so instead of one bit per event ever
-// scheduled (which grows without bound over million-event runs) the ledger
-// keeps a sliding window [base_, base_ + slots_.size()) and drops the
-// fully-consumed prefix: any id below base_ is consumed by definition.
-// EventId semantics are unchanged — ids are never reused or renumbered.
-class ConsumedLedger {
- public:
-  // Registers the next id and returns it.
-  uint64_t Append() {
-    slots_.push_back(false);
-    return base_ + slots_.size() - 1;
-  }
-
-  // Marks `id` consumed. Returns false if it was already consumed (or was
-  // never issued). Compacts the consumed prefix as a side effect.
-  bool Mark(uint64_t id) {
-    if (id < base_) {
-      return false;
-    }
-    size_t idx = static_cast<size_t>(id - base_);
-    if (idx >= slots_.size() || slots_[idx]) {
-      return false;
-    }
-    slots_[idx] = true;
-    while (!slots_.empty() && slots_.front()) {
-      slots_.pop_front();
-      ++base_;
-    }
-    return true;
-  }
-
-  bool IsConsumed(uint64_t id) const {
-    if (id < base_) {
-      return true;
-    }
-    size_t idx = static_cast<size_t>(id - base_);
-    return idx < slots_.size() && slots_[idx];
-  }
-
-  uint64_t next_id() const { return base_ + slots_.size(); }
-  // Live window size — bounded by the number of outstanding (unconsumed)
-  // events, not by the total ever scheduled.
-  size_t slot_count() const { return slots_.size(); }
-  uint64_t base() const { return base_; }
-
- private:
-  std::deque<bool> slots_;
-  uint64_t base_ = 0;
-};
-
 class EventQueue {
  public:
   using Callback = std::function<void()>;
+  // Generation-tagged handles: slot (or wheel entry) index in the high 32
+  // bits, its generation in the low 32. Generations start at 1, so 0 is
+  // never a live id.
   using EventId = uint64_t;
-  // Generation-tagged wheel handle: entry index in the high 32 bits, the
-  // entry's generation in the low 32.
   using TimerId = uint64_t;
   using StreamId = uint32_t;
 
@@ -135,7 +92,8 @@ class EventQueue {
   EventId ScheduleAtFrom(StreamId exec_stream, Cycles when, Callback fn);
 
   // Cancels a pending event. Returns false if it already fired or was
-  // cancelled. Cancellation is O(1); the slot is dropped lazily on pop.
+  // cancelled. O(1): the callback slot is freed now, the heap node is
+  // dropped when it surfaces.
   bool Cancel(EventId id);
 
   // Timers: per-connection deadlines (TCP retransmit, delayed ACK, client
@@ -214,14 +172,17 @@ class EventQueue {
 
   bool empty() const { return pending() == 0; }
   // Pending events, transactions and armed timers.
-  size_t pending() const { return live_ + (wheel_ != nullptr ? wheel_->armed() : 0); }
+  size_t pending() const {
+    return slots_in_use() + (wheel_ != nullptr ? wheel_->armed() : 0);
+  }
   // Events and timers fired (transactions are not counted).
   uint64_t fired_count() const { return fired_; }
 
-  // Size of the consumed-event bookkeeping window (test hook for the
-  // prefix-compaction guarantee: bounded by outstanding events, not by
-  // events ever scheduled).
-  size_t consumed_slot_count() const { return ledger_.slot_count(); }
+  // Callback slots holding a pending event or transaction, and the size of
+  // the slot pool (its high-water mark: bounded by the most events ever
+  // outstanding at once, not by the events ever scheduled).
+  size_t slots_in_use() const { return slots_.size() - free_slots_.size(); }
+  size_t slot_count() const { return slots_.size(); }
 
  private:
   struct Key {
@@ -231,17 +192,25 @@ class EventQueue {
     uint32_t minor;
   };
 
-  struct Event {
+  // Heap node. Sifts move only these; the callback stays in its slot.
+  struct Node {
     Key key;
-    EventId id;
-    StreamId exec;  // stream the callback runs as
-    bool txn;       // sequenced transaction
+    uint32_t slot;
+    uint32_t gen;  // the slot's generation when the node was pushed
+    bool txn;      // sequenced transaction
+  };
+
+  // A pending entry's callback and the stream it runs as.
+  struct Slot {
     Callback fn;
+    StreamId exec = 0;
+    uint32_t gen = 1;  // bumped when the entry fires or is cancelled
+    bool live = false;
   };
 
   // Heap comparator: true when `a` runs after `b`.
   struct Later {
-    bool operator()(const Event& a, const Event& b) const;
+    bool operator()(const Node& a, const Node& b) const;
   };
 
   // What the running callback schedules as.
@@ -255,23 +224,26 @@ class EventQueue {
   // Key for an entry scheduled now by the running context.
   Key NextKey(Cycles when);
   EventId Push(Key key, StreamId exec, bool txn, Callback fn);
+  // Returns slot `index` to the pool; every id and node naming its current
+  // generation goes stale.
+  void FreeSlot(uint32_t index);
   // Fires the earliest entry if it is due at or before `deadline`.
   bool FireNext(Cycles deadline);
   void RunAs(Context ctx, const Callback& fn);
-  // Pops cancelled entries off the top of the heap.
-  void SkipCancelled() const;
+  // Pops stale (cancelled) nodes off the top of the heap.
+  void SkipStale() const;
   // True when the wheel's due-top precedes the heap top; stages the wheel
   // as a side effect.
   bool TimerFirst(TimerKey* tk) const;
 
-  mutable std::vector<Event> heap_;
-  ConsumedLedger ledger_;
+  mutable std::vector<Node> heap_;
+  std::vector<Slot> slots_;
+  std::vector<uint32_t> free_slots_;  // LIFO
   // Lazily created on the first ScheduleTimerAt.
   std::unique_ptr<TimerWheel> wheel_;
   std::vector<uint64_t> next_seq_;  // per stream
   Context ctx_;
   Cycles now_ = 0;
-  size_t live_ = 0;
   uint64_t fired_ = 0;
   // Wheel occupancy series; null = metrics off.
   DeltaSeries* timer_series_ = nullptr;

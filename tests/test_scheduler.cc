@@ -4,7 +4,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <iterator>
+#include <map>
+#include <set>
+#include <string>
+#include <vector>
+
 #include "src/kernel/kernel.h"
+#include "src/kernel/scheduler.h"
+#include "src/sim/rng.h"
 
 namespace escort {
 namespace {
@@ -203,6 +213,223 @@ TEST(Schedulers, RemoveDropsThreadFromReadyQueue) {
     f.eq.RunToCompletion();
     EXPECT_EQ(ran, 0) << "scheduler kind " << static_cast<int>(kind);
   }
+}
+
+// --- Oracle: the stride heap against the scan it replaced -------------------
+//
+// ScanStride is the proportional-share scheduler before its heap: ready
+// threads in a deque in enqueue order, removed ones left as null tombstones,
+// and a Dequeue that scans every ready thread for the minimum pass, ties to
+// the earliest enqueue.
+class ScanStride {
+ public:
+  void Enqueue(Thread* t) {
+    SchedState& s = t->owner()->sched();
+    if (!s.pass_initialized || s.pass < global_pass_) {
+      s.pass = global_pass_;
+      s.pass_initialized = true;
+    }
+    ready_.push_back(t);
+    ++live_;
+  }
+
+  Thread* Dequeue() {
+    auto best = ready_.end();
+    for (auto it = ready_.begin(); it != ready_.end(); ++it) {
+      if (*it == nullptr) {
+        continue;
+      }
+      if (best == ready_.end() ||
+          (*it)->owner()->sched().pass < (*best)->owner()->sched().pass) {
+        best = it;
+      }
+    }
+    if (best == ready_.end()) {
+      return nullptr;
+    }
+    Thread* t = *best;
+    *best = nullptr;
+    --live_;
+    CollectTombstones();
+    global_pass_ = t->owner()->sched().pass;
+    return t;
+  }
+
+  void Remove(Thread* t) {
+    auto it = std::find(ready_.begin(), ready_.end(), t);
+    if (it != ready_.end()) {
+      *it = nullptr;
+      --live_;
+      CollectTombstones();
+    }
+  }
+
+  void AccountRun(Thread* t, Cycles used) {
+    SchedState& s = t->owner()->sched();
+    uint64_t tickets = s.tickets == 0 ? 1 : s.tickets;
+    s.pass += used * (uint64_t{1} << 20) / tickets;
+  }
+
+  bool Empty() const { return live_ == 0; }
+  uint64_t global_pass() const { return global_pass_; }
+
+ private:
+  void CollectTombstones() {
+    while (!ready_.empty() && ready_.front() == nullptr) {
+      ready_.pop_front();
+    }
+    if (ready_.size() > 2 * live_) {
+      ready_.erase(std::remove(ready_.begin(), ready_.end(), nullptr), ready_.end());
+    }
+  }
+
+  std::deque<Thread*> ready_;
+  size_t live_ = 0;
+  uint64_t global_pass_ = 0;
+};
+
+// Drives ProportionalShareScheduler and ScanStride through the same seeded
+// operations over two mirrored sets of owners and threads (each scheduler
+// keeps passes in its own owners) and requires the same Dequeue sequence.
+TEST(StrideScheduler, HeapMatchesScanOracle) {
+  constexpr int kOwners = 32;
+  constexpr int kOps = 50000;
+  const uint64_t kTickets[] = {50, 100, 100, 200, 400, 800};
+  const Cycles kUsed[] = {500, 1000, 2000, 4000, 1000, 3000};
+  SchedFixture f(SchedulerKind::kProportionalShare);
+  Rng rng(13);
+
+  struct Mirror {
+    Thread* heap;  // scheduled by the heap, in the heap's owner
+    Thread* scan;  // the same thread in the oracle's owner
+    size_t owner;
+    bool queued = false;
+  };
+  std::vector<Mirror> threads;
+  std::vector<Owner*> scan_owners;
+  for (int i = 0; i < kOwners; ++i) {
+    std::string name = "o" + std::to_string(i);
+    Owner* a = f.NewOwner(name);
+    Owner* b = f.NewOwner(name + "-oracle");
+    a->sched().tickets = b->sched().tickets = kTickets[rng.NextBelow(std::size(kTickets))];
+    scan_owners.push_back(b);
+    uint64_t n = 1 + rng.NextBelow(4);
+    for (uint64_t j = 0; j < n; ++j) {
+      threads.push_back({f.kernel->CreateThread(a, name), f.kernel->CreateThread(b, name),
+                         static_cast<size_t>(i)});
+    }
+  }
+  std::map<Thread*, size_t> index_of;
+  for (size_t i = 0; i < threads.size(); ++i) {
+    index_of[threads[i].heap] = i;
+  }
+  std::vector<int> asleep_until(kOwners, 0);  // owners sitting out a long sleep
+
+  ProportionalShareScheduler heap;
+  ScanStride scan;
+  std::vector<size_t> queued;
+  auto queued_of_owner = [&](size_t owner) {
+    return std::count_if(queued.begin(), queued.end(),
+                         [&](size_t q) { return threads[q].owner == owner; });
+  };
+  auto unqueue = [&](size_t i) {
+    threads[i].queued = false;
+    queued.erase(std::find(queued.begin(), queued.end(), i));
+  };
+  int ties = 0;
+  int rekeys = 0;
+  int rejoins = 0;
+  int middle_removes = 0;
+  size_t running = threads.size();  // none yet
+  // `op` counts the operations applied to both schedulers; draws that find
+  // nothing to do are redrawn.
+  for (int op = 0; op < kOps; ++op) {
+    uint64_t r = rng.NextBelow(100);
+    if (r < 45) {
+      size_t i = rng.NextBelow(threads.size());
+      if (threads[i].queued || i == running || asleep_until[threads[i].owner] > op) {
+        --op;
+        continue;
+      }
+      const SchedState& s = threads[i].scan->owner()->sched();
+      if (s.pass_initialized && s.pass < scan.global_pass()) {
+        ++rejoins;
+      }
+      heap.Enqueue(threads[i].heap);
+      scan.Enqueue(threads[i].scan);
+      threads[i].queued = true;
+      queued.push_back(i);
+    } else if (r < 80) {
+      // Count equal minimum passes among the ready owners.
+      std::set<size_t> at_min;
+      uint64_t min_pass = ~uint64_t{0};
+      for (size_t q : queued) {
+        uint64_t pass = scan_owners[threads[q].owner]->sched().pass;
+        if (pass < min_pass) {
+          min_pass = pass;
+          at_min.clear();
+        }
+        if (pass == min_pass) {
+          at_min.insert(threads[q].owner);
+        }
+      }
+      ties += at_min.size() > 1 ? 1 : 0;
+      Thread* got = heap.Dequeue();
+      Thread* want = scan.Dequeue();
+      ASSERT_EQ(got == nullptr, want == nullptr) << "op " << op;
+      if (got == nullptr) {
+        continue;
+      }
+      size_t i = index_of.at(got);
+      ASSERT_EQ(threads[i].scan, want) << "op " << op << ": the heap chose thread " << i;
+      unqueue(i);
+      running = i;
+      Cycles used = kUsed[rng.NextBelow(std::size(kUsed))];
+      if (queued_of_owner(threads[i].owner) > 0) {
+        ++rekeys;  // the owner's waiting threads now hold stale snapshots
+      }
+      heap.AccountRun(threads[i].heap, used);
+      scan.AccountRun(threads[i].scan, used);
+      if (rng.NextBelow(50) == 0) {
+        asleep_until[threads[i].owner] = op + 1000 + static_cast<int>(rng.NextBelow(3000));
+      }
+    } else if (r < 88) {
+      // Charge a waiting thread's owner directly.
+      if (queued.empty()) {
+        --op;
+        continue;
+      }
+      size_t i = queued[rng.NextBelow(queued.size())];
+      Cycles used = kUsed[rng.NextBelow(std::size(kUsed))];
+      ++rekeys;
+      heap.AccountRun(threads[i].heap, used);
+      scan.AccountRun(threads[i].scan, used);
+    } else {
+      // Remove a ready thread that is neither the oldest nor the newest.
+      if (queued.size() < 3) {
+        --op;
+        continue;
+      }
+      size_t i = queued[1 + rng.NextBelow(queued.size() - 2)];
+      ++middle_removes;
+      heap.Remove(threads[i].heap);
+      scan.Remove(threads[i].scan);
+      unqueue(i);
+    }
+    ASSERT_EQ(heap.Empty(), scan.Empty()) << "op " << op;
+  }
+  // Drain both.
+  while (!scan.Empty()) {
+    Thread* got = heap.Dequeue();
+    ASSERT_NE(got, nullptr);
+    ASSERT_EQ(threads[index_of.at(got)].scan, scan.Dequeue());
+  }
+  EXPECT_TRUE(heap.Empty());
+  // Every path the heap's exactness argument relies on was exercised.
+  EXPECT_GT(ties, 1000);
+  EXPECT_GT(rekeys, 1000);
+  EXPECT_GT(rejoins, 100);
+  EXPECT_GT(middle_removes, 1000);
 }
 
 }  // namespace

@@ -5,8 +5,8 @@
 // concurrent machines against one server cell, which is only feasible
 // because connections are slab-indexed flyweights (src/elib/slab.h) and
 // timers live in a hierarchical wheel (src/sim/timer_wheel.h): the JSON
-// `memory` block records the reserved bytes per client that the perf gate
-// (tools/check_perf_regression.py --check-scale) pins.
+// `memory` block records the reserved bytes per client, whose budget
+// tests/test_million_clients.cc enforces.
 
 #include <cstdio>
 #include <string>

@@ -13,9 +13,8 @@
 //    cost the sampler event pays,
 //  * SerializeCell — the end-of-run document cost.
 //
-// Wall-clock numbers are host-dependent; CI runs this for sanity, while
-// the regression gate for the simulator proper stays on the ratio-based
-// trajectory (tools/check_perf_regression.py).
+// Wall-clock numbers are host-dependent; CI runs this for sanity only.
+// The simulator's end-to-end speed is measured by perfbench/.
 
 #include <benchmark/benchmark.h>
 

@@ -9,8 +9,6 @@
 
 namespace escort {
 
-inline void PutU8(uint8_t* p, uint8_t v) { p[0] = v; }
-
 inline void PutU16(uint8_t* p, uint16_t v) {
   p[0] = static_cast<uint8_t>(v >> 8);
   p[1] = static_cast<uint8_t>(v);
@@ -22,8 +20,6 @@ inline void PutU32(uint8_t* p, uint32_t v) {
   p[2] = static_cast<uint8_t>(v >> 8);
   p[3] = static_cast<uint8_t>(v);
 }
-
-inline uint8_t GetU8(const uint8_t* p) { return p[0]; }
 
 inline uint16_t GetU16(const uint8_t* p) {
   return static_cast<uint16_t>((static_cast<uint16_t>(p[0]) << 8) | p[1]);

@@ -36,7 +36,6 @@ class FsModule : public Module {
   void AddDocument(const std::string& name, uint64_t size);
 
   const Inode* Lookup(const std::string& name) const;
-  size_t file_count() const { return inodes_.size(); }
 
   OpenResult Open(Path* path, const Attributes& attrs) override;
   void Process(Stage& stage, Message msg, Direction dir) override;

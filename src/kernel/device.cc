@@ -82,7 +82,6 @@ bool Console::Write(PdId domain, const std::string& line) {
     return false;
   }
   kernel_->ConsumeCharged(line.size() * kernel_->costs().per_byte_touch + 200);
-  bytes_ += line.size();
   if (lines_.size() >= kMaxLines) {
     lines_.erase(lines_.begin());
   }

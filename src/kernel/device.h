@@ -77,7 +77,6 @@ class DeviceRegistry {
   uint64_t Write(Device* dev, PdId domain, uint64_t arg, const void* data, uint64_t len);
   uint64_t Control(Device* dev, PdId domain, uint64_t arg);
 
-  size_t device_count() const { return devices_.size(); }
   uint64_t denied() const { return denied_; }
 
  private:
@@ -100,14 +99,12 @@ class Console {
 
   void set_echo_to_stdout(bool on) { echo_ = on; }
   const std::vector<std::string>& lines() const { return lines_; }
-  uint64_t bytes_written() const { return bytes_; }
 
   static constexpr size_t kMaxLines = 256;
 
  private:
   Kernel* const kernel_;
   std::vector<std::string> lines_;
-  uint64_t bytes_ = 0;
   bool echo_ = false;
 };
 

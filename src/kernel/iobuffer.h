@@ -144,7 +144,6 @@ class IoBufferManager {
   // number of buffers released.
   uint64_t ReleaseAllFor(Owner* owner);
 
-  uint64_t live_buffers() const { return live_.size(); }
   uint64_t cached_buffers() const { return cached_count_; }
   // Outstanding locks across all live buffers (cached buffers hold none);
   // cross-checked by the auditor against the per-owner lock counters.

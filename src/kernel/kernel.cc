@@ -420,7 +420,7 @@ void Kernel::FinishItem() {
   if (over_budget) {
     ++runaway_detections_;
     MetricAdd(m_runaway_);
-    if (tracer_ != nullptr && tracer_->lifecycle_enabled()) {
+    if (tracer_ != nullptr) {
       tracer_->Instant(eq_->now(), OwnerTrack(owner->id(), owner->name()),
                        "runaway-detection", "policy",
                        {{"run_since_yield", Tracer::Num(t->run_since_yield_)},

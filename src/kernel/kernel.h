@@ -96,7 +96,6 @@ class Kernel {
 
   // --- Owners and domains ---------------------------------------------------
   Owner* kernel_owner() { return kernel_owner_.get(); }
-  Owner* idle_owner() { return idle_owner_.get(); }
 
   ProtectionDomain* CreateDomain(const std::string& name);
   ProtectionDomain* domain(PdId id);

@@ -53,7 +53,6 @@ class ProtectionDomain : public Owner {
   uint64_t HeapChargeBack(Owner* path_owner);
 
   uint64_t heap_bytes_in_use() const { return heap_in_use_; }
-  uint64_t heap_bytes_reserved() const { return heap_reserved_; }
 
  private:
   Kernel* const kernel_;

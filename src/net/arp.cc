@@ -102,8 +102,6 @@ void ArpModule::Process(Stage& stage, Message msg, Direction dir) {
     if (out.valid()) {
       stage.path->ForwardDown(stage, std::move(out));
     }
-  } else if (pkt->opcode == 2) {
-    ++learned_;
   }
 }
 

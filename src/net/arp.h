@@ -39,9 +39,7 @@ class ArpModule : public Module {
   void Process(Stage& stage, Message msg, Direction dir) override;
   Cycles ProcessCost(Direction dir) const override;
 
-  Path* arp_path() { return arp_path_; }
   uint64_t requests_answered() const { return answered_; }
-  uint64_t replies_learned() const { return learned_; }
 
  private:
   Message NewArpMessage(Path* path, const ArpPacket& pkt, MacAddr dst);
@@ -51,7 +49,6 @@ class ArpModule : public Module {
   std::map<Ip4Addr, MacAddr> table_;
   Path* arp_path_ = nullptr;
   uint64_t answered_ = 0;
-  uint64_t learned_ = 0;
 };
 
 }  // namespace escort

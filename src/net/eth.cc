@@ -87,7 +87,6 @@ void EthDriverModule::Process(Stage& stage, Message msg, Direction dir) {
   }
   std::vector<uint8_t> frame = msg.CopyOut(pd());
   kernel()->Consume(frame.size() * kernel()->costs().per_byte_touch);
-  ++frames_tx_;
   if (transmit_) {
     transmit_(std::move(frame));
   }

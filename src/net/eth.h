@@ -46,7 +46,6 @@ class EthDriverModule : public Module {
   Cycles ProcessCost(Direction dir) const override;
 
   uint64_t frames_received() const { return frames_rx_; }
-  uint64_t frames_transmitted() const { return frames_tx_; }
 
  private:
   const MacAddr mac_;
@@ -54,7 +53,6 @@ class EthDriverModule : public Module {
   Module* arp_ = nullptr;
   std::function<void(std::vector<uint8_t>)> transmit_;
   uint64_t frames_rx_ = 0;
-  uint64_t frames_tx_ = 0;
 };
 
 }  // namespace escort

@@ -74,7 +74,6 @@ void HttpServerModule::Process(Stage& stage, Message msg, Direction dir) {
 
   kernel()->ConsumeCharged(kernel()->costs().http_parse);
   HttpRequest req = ParseRequestLine(st->reqbuf);
-  ++requests_;
   st->dispatched = true;
   if (!req.valid || req.method != "GET") {
     SendResponse(stage, 400, "Bad Request", nullptr, 0, true);
@@ -176,10 +175,8 @@ void HttpServerModule::StartStream(Stage& stage) {
         if (path->destroyed()) {
           return;
         }
-        ++chunks_generated_;
         Message msg = Message::Alloc(kernel(), path, pd(), path->StageDomains(), chunk.size(), 0);
         if (!msg.valid()) {
-          ++chunks_dropped_;
           return;
         }
         msg.Append(pd(), chunk.data(), chunk.size());

@@ -45,12 +45,9 @@ class HttpServerModule : public Module {
   void Process(Stage& stage, Message msg, Direction dir) override;
   Cycles ProcessCost(Direction dir) const override;
 
-  uint64_t requests_parsed() const { return requests_; }
   uint64_t responses_sent() const { return responses_; }
   uint64_t errors_sent() const { return errors_; }
   uint64_t streams_started() const { return streams_; }
-  uint64_t stream_chunks_generated() const { return chunks_generated_; }
-  uint64_t stream_chunks_dropped() const { return chunks_dropped_; }
 
  private:
   struct HttpState : StageState {
@@ -67,9 +64,6 @@ class HttpServerModule : public Module {
 
   Module* tcp_ = nullptr;
   Module* above_ = nullptr;  // CGI (which forwards file traffic to FS)
-  uint64_t chunks_generated_ = 0;
-  uint64_t chunks_dropped_ = 0;
-  uint64_t requests_ = 0;
   uint64_t responses_ = 0;
   uint64_t errors_ = 0;
   uint64_t streams_ = 0;

@@ -63,7 +63,6 @@ void IpModule::Process(Stage& stage, Message msg, Direction dir) {
     if (hdr->dst != our_ip_ || hdr->protocol != kIpProtoTcp || hdr->ttl == 0) {
       return;
     }
-    ++rx_;
     msg.Strip(kIpHeaderLen);
     // Trim link-layer padding: the IP total length is authoritative.
     uint64_t payload_len = hdr->total_length - kIpHeaderLen;
@@ -103,7 +102,6 @@ void IpModule::Process(Stage& stage, Message msg, Direction dir) {
     ++unroutable_;
     return;
   }
-  ++tx_;
   msg.aux = MacToAux(*mac);
   stage.path->ForwardDown(stage, std::move(msg));
 }

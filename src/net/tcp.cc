@@ -58,8 +58,7 @@ void TcpModule::ReportOutcome(TcpPcb* pcb, TcpConnOutcome outcome) {
 
 void TcpModule::SetState(TcpPcb* pcb, TcpState next) {
   Tracer* t = kernel()->tracer();
-  if (t != nullptr && t->lifecycle_enabled() && pcb->path != nullptr &&
-      pcb->state != next) {
+  if (t != nullptr && pcb->path != nullptr && pcb->state != next) {
     t->Instant(kernel()->now(), OwnerTrack(pcb->path->id(), pcb->path->name()),
                std::string("tcp:") + TcpStateName(pcb->state) + "->" + TcpStateName(next),
                "tcp");

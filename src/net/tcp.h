@@ -148,9 +148,6 @@ struct TcpPcb {
   bool outcome_reported = false;
 
   uint32_t BytesUnacked() const { return snd_nxt - snd_una; }
-  uint32_t BytesQueued() const {
-    return static_cast<uint32_t>(send_buf.size()) - (snd_una - send_base_seq);
-  }
 };
 
 class TcpModule : public Module {

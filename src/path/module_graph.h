@@ -48,7 +48,6 @@ class ModuleGraph {
   void InitAll(PathManager* manager);
 
   const std::vector<std::unique_ptr<Module>>& modules() const { return modules_; }
-  size_t edge_count() const { return edges_.size(); }
 
  private:
   Kernel* const kernel_;

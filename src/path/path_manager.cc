@@ -6,16 +6,6 @@
 
 namespace escort {
 
-namespace {
-
-// Lifecycle-family tracer, or null when tracing (or the family) is off.
-Tracer* LifecycleTracer(Kernel* kernel) {
-  Tracer* t = kernel->tracer();
-  return (t != nullptr && t->lifecycle_enabled()) ? t : nullptr;
-}
-
-}  // namespace
-
 PathManager::PathManager(Kernel* kernel, ModuleGraph* graph) : kernel_(kernel), graph_(graph) {
   interrupt_thread_ = kernel_->CreateThread(kernel_->kernel_owner(), "interrupt");
 }
@@ -88,7 +78,7 @@ Path* PathManager::Create(Module* start, const Attributes& attrs,
   live_list_.push_back(path);
   paths_[path] = std::move(owned);
   by_id_[path->id()] = path;
-  if (Tracer* t = LifecycleTracer(kernel_)) {
+  if (Tracer* t = kernel_->tracer()) {
     t->BeginSpan(kernel_->now(), OwnerTrack(path->id(), path->name()),
                  "path:" + account_label, "path",
                  {{"owner", Tracer::Num(path->id())},
@@ -121,7 +111,7 @@ void PathManager::Destroy(Path* path) {
                                          kernel_->costs().path_destroy_per_stage *
                                              path->stages().size());
   ++destroyed_;
-  if (Tracer* t = LifecycleTracer(kernel_)) {
+  if (Tracer* t = kernel_->tracer()) {
     t->Instant(kernel_->now(), OwnerTrack(path->id(), path->name()), "pathDestroy", "path");
     t->EndSpan(kernel_->now(), OwnerTrack(path->id(), path->name()));
   }
@@ -143,7 +133,7 @@ Cycles PathManager::Kill(Path* path) {
     }
   }
   ++killed_;
-  if (Tracer* t = LifecycleTracer(kernel_)) {
+  if (Tracer* t = kernel_->tracer()) {
     t->Instant(kernel_->now(), OwnerTrack(path->id(), path->name()), "pathKill", "path",
                {{"cycles_charged", Tracer::Num(path->usage().cycles)}});
     t->EndSpan(kernel_->now(), OwnerTrack(path->id(), path->name()));
@@ -235,7 +225,7 @@ Path* PathManager::DemuxAndDeliver(Module* start, Message msg, const char** drop
   if (drop_reason != nullptr) {
     *drop_reason = reason;
   }
-  if (Tracer* t = LifecycleTracer(kernel_)) {
+  if (Tracer* t = kernel_->tracer()) {
     t->Instant(kernel_->now(), "demux", "demux-drop", "path",
                {{"reason", Tracer::Str(reason)}});
   }

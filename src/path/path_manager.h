@@ -66,7 +66,6 @@ class PathManager {
   // re-resolve here at fire time.
   Path* FindLive(uint64_t owner_id);
 
-  uint64_t created_count() const { return created_; }
   uint64_t destroyed_count() const { return destroyed_; }
   uint64_t killed_count() const { return killed_; }
   uint64_t demux_drops() const { return demux_drops_; }

@@ -86,7 +86,7 @@ void DetectionPolicy::ReportDetection(Ip4Addr addr, const char* source) {
     blacklist_->RecordViolation(addr, now);
   }
   Tracer* t = server_->kernel().tracer();
-  if (t != nullptr && t->lifecycle_enabled()) {
+  if (t != nullptr) {
     t->Instant(now, "policy", std::string("detect-") + source, "policy",
                {{"addr", Tracer::Str(addr.ToString())}});
   }

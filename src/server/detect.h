@@ -24,7 +24,7 @@
 // BlacklistPolicy::RecordViolation, so the §4.4.4 penalty-path machinery
 // does the containment.
 //
-// Determinism contract (DESIGN.md §6.10): accumulator state lives in
+// Determinism contract (DESIGN.md §6.9): accumulator state lives in
 // ordered containers keyed by subnet/class; SPRT arithmetic is fixed-point
 // (integer micro-nats) so no float accumulation order can leak in; the
 // detection sequence — and its FNV digest — is bit-identical at any --jobs.
@@ -194,7 +194,6 @@ class BaselineDetector : public DetectionPolicy {
   // exceeds mean + k*sigma.
   bool IsOutlier(const std::string& cls, uint64_t kilocycles, uint64_t pages,
                  uint64_t iobuffer_locks) const;
-  size_t classes_learned() const { return classes_.size(); }
   uint64_t samples_learned(const std::string& cls) const;
   uint64_t paths_killed() const { return paths_killed_; }
 

@@ -147,7 +147,6 @@ class HealthMonitor {
  private:
   struct RuleState {
     uint64_t last_counter = 0;
-    bool last_valid = false;
     uint32_t streak = 0;
     // Ring of counter values for trailing-rate rules.
     std::vector<uint64_t> ring;

@@ -31,9 +31,6 @@ class MonolithicServer : public NetEndpoint {
 
   void DeliverFrame(const std::vector<uint8_t>& frame) override;
 
-  // Table 2 reference: cycles from kill(2) to waitpid(2) returning.
-  Cycles KillProcessCost() const { return costs_.linux_kill_process; }
-
   uint64_t connections_served() const { return served_; }
   uint64_t syn_drops() const { return syn_drops_; }
   size_t half_open() const { return half_open_; }

@@ -55,7 +55,7 @@ void BlacklistPolicy::RecordViolation(Ip4Addr addr, Cycles now) {
   MetricAdd(m_strikes_);
   MetricSet(m_blacklist_size_, static_cast<int64_t>(entries_.size()));
   Tracer* t = server_->kernel().tracer();
-  if (t != nullptr && t->lifecycle_enabled()) {
+  if (t != nullptr) {
     t->Instant(now, "policy", e.strikes >= options_.strikes ? "blacklist-insert"
                                                             : "blacklist-strike",
                "policy",

@@ -173,7 +173,7 @@ void EscortWebServer::ConfigureQosListener(TcpListener* listener) {
     m_qos_tickets_->Set(static_cast<int64_t>(options_.qos_tickets));
   }
   Tracer* t = kernel_->tracer();
-  if (t != nullptr && t->lifecycle_enabled()) {
+  if (t != nullptr) {
     // QoS throttling is ticket-based: record the share decision so the
     // timeline explains why QoS paths outrun best-effort ones.
     t->Instant(kernel_->now(), "policy", "qos-tickets", "policy",

@@ -72,7 +72,7 @@ class EventQueue {
   // Schedules `fn` to run at absolute time `when`. Times in the past are
   // clamped to `now()`. Returns an id usable with Cancel().
   //
-  // Deferred-capture contract (EA001, tools/analyze/escort_analyzer.py):
+  // Deferred-capture contract (EA001, tools/lint/escort_lint.py):
   // `fn` outlives the current event, so it must not capture raw pointers
   // or references to kernel-lifetime objects (Path, Thread, TcpPcb, ...);
   // capture a value key and revalidate at fire time instead.

@@ -2,52 +2,15 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
+
+#include "src/sim/trace.h"
 
 namespace escort {
 
 namespace {
 
-// JSON string literal with escaping (same rules as the tracer).
-std::string Str(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += "\"";
-  return out;
-}
-
-std::string Num(uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-  return buf;
-}
-
+// Signed JSON number for gauge values and series points; everything else
+// is encoded with Tracer::Str/Tracer::Num.
 std::string SNum(int64_t v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%" PRId64, v);
@@ -189,7 +152,7 @@ void AppendSeries(std::string* out, const std::vector<std::pair<Cycles, int64_t>
   for (const auto& [ts, v] : pts) {
     if (!first) *out += ",";
     first = false;
-    *out += "[" + Num(ts) + "," + SNum(v) + "]";
+    *out += "[" + Tracer::Num(ts) + "," + SNum(v) + "]";
   }
   *out += "]";
 }
@@ -197,16 +160,16 @@ void AppendSeries(std::string* out, const std::vector<std::pair<Cycles, int64_t>
 }  // namespace
 
 std::string MetricsRegistry::SerializeCell(const std::string& cell_id) const {
-  std::string out = "{\"cell\": " + Str(cell_id) +
-                    ", \"sample_interval\": " + Num(config_.sample_interval) + ",\n";
+  std::string out = "{\"cell\": " + Tracer::Str(cell_id) +
+                    ", \"sample_interval\": " + Tracer::Num(config_.sample_interval) + ",\n";
 
   out += "\"counters\": [";
   bool first = true;
   for (const auto& [name, e] : counters_) {
     if (!first) out += ",";
     first = false;
-    out += "\n{\"name\": " + Str(name) + ", \"help\": " + Str(e.help) +
-           ", \"value\": " + Num(e.metric.value()) + ", \"series\": ";
+    out += "\n{\"name\": " + Tracer::Str(name) + ", \"help\": " + Tracer::Str(e.help) +
+           ", \"value\": " + Tracer::Num(e.metric.value()) + ", \"series\": ";
     std::vector<std::pair<Cycles, int64_t>> pts;
     pts.reserve(e.series.size());
     for (const SeriesPoint& p : e.series) pts.emplace_back(p.ts, p.value);
@@ -220,7 +183,7 @@ std::string MetricsRegistry::SerializeCell(const std::string& cell_id) const {
   for (const auto& [name, e] : gauges_) {
     if (!first) out += ",";
     first = false;
-    out += "\n{\"name\": " + Str(name) + ", \"help\": " + Str(e.help) +
+    out += "\n{\"name\": " + Tracer::Str(name) + ", \"help\": " + Tracer::Str(e.help) +
            ", \"value\": " + SNum(e.metric.value()) + ", \"series\": ";
     std::vector<std::pair<Cycles, int64_t>> pts;
     pts.reserve(e.series.size());
@@ -236,17 +199,17 @@ std::string MetricsRegistry::SerializeCell(const std::string& cell_id) const {
     if (!first) out += ",";
     first = false;
     const MetricHistogram& h = e.metric;
-    out += "\n{\"name\": " + Str(name) + ", \"help\": " + Str(e.help) +
-           ", \"count\": " + Num(h.count()) + ", \"sum\": " + Num(h.sum()) +
-           ", \"p50\": " + Num(h.Percentile(0.50)) +
-           ", \"p90\": " + Num(h.Percentile(0.90)) +
-           ", \"p99\": " + Num(h.Percentile(0.99)) + ", \"buckets\": [";
+    out += "\n{\"name\": " + Tracer::Str(name) + ", \"help\": " + Tracer::Str(e.help) +
+           ", \"count\": " + Tracer::Num(h.count()) + ", \"sum\": " + Tracer::Num(h.sum()) +
+           ", \"p50\": " + Tracer::Num(h.Percentile(0.50)) +
+           ", \"p90\": " + Tracer::Num(h.Percentile(0.90)) +
+           ", \"p99\": " + Tracer::Num(h.Percentile(0.99)) + ", \"buckets\": [";
     // Trailing empty buckets are elided to keep the document compact.
     size_t last = h.buckets().size();
     while (last > 0 && h.buckets()[last - 1] == 0) --last;
     for (size_t b = 0; b < last; ++b) {
       if (b != 0) out += ",";
-      out += Num(h.buckets()[b]);
+      out += Tracer::Num(h.buckets()[b]);
     }
     out += "]}";
   }
@@ -257,7 +220,8 @@ std::string MetricsRegistry::SerializeCell(const std::string& cell_id) const {
   for (const auto& [name, e] : deltas_) {
     if (!first) out += ",";
     first = false;
-    out += "\n{\"name\": " + Str(name) + ", \"help\": " + Str(e.help) + ", \"series\": ";
+    out += "\n{\"name\": " + Tracer::Str(name) + ", \"help\": " + Tracer::Str(e.help) +
+           ", \"series\": ";
     AppendSeries(&out, e.series.Cumulative());
     out += "}";
   }
@@ -266,7 +230,7 @@ std::string MetricsRegistry::SerializeCell(const std::string& cell_id) const {
 }
 
 std::string MetricsRegistry::WrapDocument(const std::vector<std::string>& fragments) {
-  std::string out = "{\n\"escort_metrics_schema\": 2,\n\"cpu_hz\": " + Num(kCpuHz) +
+  std::string out = "{\n\"escort_metrics_schema\": 2,\n\"cpu_hz\": " + Tracer::Num(kCpuHz) +
                     ",\n\"cells\": [\n";
   bool first = true;
   for (const std::string& f : fragments) {
@@ -277,14 +241,6 @@ std::string MetricsRegistry::WrapDocument(const std::vector<std::string>& fragme
   }
   out += "\n]\n}\n";
   return out;
-}
-
-bool MetricsRegistry::WriteFile(const std::string& path, const std::string& json) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return false;
-  const size_t wrote = std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-  return wrote == json.size();
 }
 
 }  // namespace escort

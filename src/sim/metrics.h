@@ -141,19 +141,11 @@ class MetricsRegistry {
   // same value). Called from the stream-0 sampler at fixed sim times.
   void Sample(Cycles now);
 
-  size_t counter_count() const { return counters_.size(); }
-  size_t gauge_count() const { return gauges_.size(); }
-  size_t histogram_count() const { return histograms_.size(); }
-  size_t delta_count() const { return deltas_.size(); }
-
   // Byte-stable JSON fragment for one sweep cell.
   std::string SerializeCell(const std::string& cell_id) const;
 
   // Wraps per-cell fragments (grid order) into the pinned document.
   static std::string WrapDocument(const std::vector<std::string>& fragments);
-
-  // Writes `json` to `path` ("wb"); false on I/O error.
-  static bool WriteFile(const std::string& path, const std::string& json);
 
  private:
   struct SeriesPoint {

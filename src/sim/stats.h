@@ -44,7 +44,6 @@ class RateMeter {
   }
 
   uint64_t total() const { return total_; }
-  uint64_t window_count() const { return window_count_; }
 
  private:
   uint64_t total_ = 0;
@@ -57,7 +56,6 @@ class RateMeter {
 class ThroughputMeter {
  public:
   void Record(uint64_t bytes) {
-    total_bytes_ += bytes;
     if (window_open_) {
       window_bytes_ += bytes;
     }
@@ -78,10 +76,7 @@ class ThroughputMeter {
     return static_cast<double>(window_bytes_) / secs;
   }
 
-  uint64_t total_bytes() const { return total_bytes_; }
-
  private:
-  uint64_t total_bytes_ = 0;
   uint64_t window_bytes_ = 0;
   Cycles window_start_ = 0;
   bool window_open_ = false;

@@ -251,7 +251,10 @@ void Tracer::DumpFlight(const std::string& reason, Cycles ts) {
 
   ++flight_dumps_;
   last_flight_dump_ = std::move(out);
-  WriteFile(config_.ResolvedFlightPath(), last_flight_dump_);
+  const std::string path = config_.ResolvedFlightPath();
+  if (!path.empty()) {
+    WriteFile(path, last_flight_dump_);
+  }
 }
 
 void Tracer::Diag(const std::string& text) {

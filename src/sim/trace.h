@@ -34,26 +34,23 @@
 
 namespace escort {
 
-// Per-family enable bits and output locations. `path` empty = disabled.
+// Output locations. `path` empty = disabled. The ledger counter tracks
+// are sampled by the metrics tick (MetricsConfig::sample_interval).
 struct TraceConfig {
   std::string path;  // Chrome trace JSON output; empty disables tracing
 
-  // Event families: owner/ledger counter tracks, and path lifecycle +
-  // policy events.
-  bool ledger = true;
-  bool lifecycle = true;
-
-  // Ledger sampling cadence in sim time.
-  Cycles sample_interval = CyclesFromMillis(5.0);
-
   // Flight recorder: ring capacity and dump location (empty = derive
-  // `path + ".flight.json"`).
+  // `path + ".flight.json"`; empty with an empty `path` = keep the dump
+  // in memory only).
   size_t flight_capacity = 256;
   std::string flight_path;
 
   bool enabled() const { return !path.empty(); }
   std::string ResolvedFlightPath() const {
-    return flight_path.empty() ? path + ".flight.json" : flight_path;
+    if (flight_path.empty() && !path.empty()) {
+      return path + ".flight.json";
+    }
+    return flight_path;
   }
 };
 
@@ -73,8 +70,6 @@ class Tracer {
   Tracer& operator=(const Tracer&) = delete;
 
   const TraceConfig& config() const { return config_; }
-  bool ledger_enabled() const { return config_.ledger; }
-  bool lifecycle_enabled() const { return config_.lifecycle; }
 
   // JSON value encoders for Args.
   static std::string Str(const std::string& s);
@@ -97,8 +92,8 @@ class Tracer {
 
   // --- Flight recorder -------------------------------------------------
   // Serializes the ring (most recent events, oldest first) plus `reason`
-  // and writes it to ResolvedFlightPath(). Keeps the dump in memory for
-  // tests. Best effort on I/O failure.
+  // and writes it to ResolvedFlightPath(), unless that is empty. Keeps
+  // the dump in memory for tests. Best effort on I/O failure.
   void DumpFlight(const std::string& reason, Cycles ts);
   uint64_t flight_dumps() const { return flight_dumps_; }
   const std::string& last_flight_dump() const { return last_flight_dump_; }

@@ -187,79 +187,71 @@ std::unique_ptr<Testbed> BuildTestbed(const ExperimentSpec& spec, Tracer* tracer
   return tb;
 }
 
-// One ledger-family sample: cycle balances per account label (from the
-// kernel snapshot, a sorted map) plus live pages/threads/IOBuffer locks
-// aggregated per label. account_labels() iterates in owner-id (creation)
-// order; the aggregation still goes through a string-keyed map so series
-// emission is sorted by label.
-void SampleLedger(Tracer* tracer, Kernel& kernel, Cycles now) {
-  CycleLedger snapshot = kernel.Snapshot();
-  for (const auto& [label, cycles] : snapshot.totals()) {
-    tracer->Counter(now, "cycles/" + label, {{"cycles", Tracer::Num(cycles)}});
-  }
-
-  struct Balances {
-    uint64_t pages = 0;
-    uint64_t threads = 0;
-    uint64_t iobuffer_locks = 0;
-  };
-  std::map<std::string, Balances> balances;
-  for (const auto& [id, rec] : kernel.account_labels()) {
-    Balances& b = balances[rec.label];
-    const ResourceUsage& u = rec.owner->usage();
-    b.pages += u.pages;
-    b.threads += u.threads;
-    b.iobuffer_locks += u.iobuffer_locks;
-  }
-  for (const auto& [label, b] : balances) {
-    tracer->Counter(now, "pages/" + label, {{"pages", Tracer::Num(b.pages)}});
-    tracer->Counter(now, "threads/" + label, {{"threads", Tracer::Num(b.threads)}});
-    tracer->Counter(now, "iobufs/" + label, {{"locks", Tracer::Num(b.iobuffer_locks)}});
-  }
-}
-
-// Self-rescheduling stream-0 sampler, bounded by `end` so RunUntil always
-// drains. Scheduled from the main context (stream 0) and rescheduled from
-// its own execution context (also stream 0), so emission order is part of
-// the queue's deterministic total order.
-void ScheduleLedgerSampler(EventQueue* eq, Kernel* kernel, Tracer* tracer, Cycles at,
-                           Cycles interval, Cycles end) {
-  if (at > end) {
-    return;
-  }
-  eq->ScheduleAt(at, [eq, kernel, tracer, at, interval, end] {
-    SampleLedger(tracer, *kernel, eq->now());
-    ScheduleLedgerSampler(eq, kernel, tracer, at + interval, interval, end);
-  });
-}
-
-// One metrics-plane tick: refresh the per-account cycle gauges from the
-// kernel ledger, snapshot every counter/gauge into its sim-time series,
-// then let the health monitor evaluate its SLO rules. Same stream-0
-// contract as SampleLedger, so the sampled series — and every incident
-// decision — are part of the queue's deterministic total order.
-void SampleMetrics(MetricsRegistry* registry, HealthMonitor* health, Kernel* kernel,
-                   Cycles now) {
+// One instrumentation tick; any of registry, health and tracer may be
+// null. A single kernel ledger snapshot feeds the per-account
+// `kernel.cycles.<label>` gauges and, when tracing, the ledger counter
+// tracks: cycles per account label plus live pages, threads and IOBuffer
+// locks aggregated per label (through a string-keyed map, so track
+// emission is sorted by label). Then every counter/gauge is snapshotted
+// into its sim-time series and the health monitor evaluates its SLO
+// rules.
+void SampleMetrics(MetricsRegistry* registry, HealthMonitor* health, Tracer* tracer,
+                   Kernel* kernel, Cycles now) {
   CycleLedger snapshot = kernel->Snapshot();
   for (const auto& [label, cycles] : snapshot.totals()) {
-    MetricSet(ESCORT_METRIC_GAUGE(registry, "kernel.cycles." + label,
-                                  "cycles charged to this ledger account"),
-              static_cast<int64_t>(cycles));
+    if (registry != nullptr) {
+      MetricSet(ESCORT_METRIC_GAUGE(registry, "kernel.cycles." + label,
+                                    "cycles charged to this ledger account"),
+                static_cast<int64_t>(cycles));
+    }
+    if (tracer != nullptr) {
+      tracer->Counter(now, "cycles/" + label, {{"cycles", Tracer::Num(cycles)}});
+    }
   }
-  registry->Sample(now);
+
+  if (tracer != nullptr) {
+    struct Balances {
+      uint64_t pages = 0;
+      uint64_t threads = 0;
+      uint64_t iobuffer_locks = 0;
+    };
+    std::map<std::string, Balances> balances;
+    for (const auto& [id, rec] : kernel->account_labels()) {
+      Balances& b = balances[rec.label];
+      const ResourceUsage& u = rec.owner->usage();
+      b.pages += u.pages;
+      b.threads += u.threads;
+      b.iobuffer_locks += u.iobuffer_locks;
+    }
+    for (const auto& [label, b] : balances) {
+      tracer->Counter(now, "pages/" + label, {{"pages", Tracer::Num(b.pages)}});
+      tracer->Counter(now, "threads/" + label, {{"threads", Tracer::Num(b.threads)}});
+      tracer->Counter(now, "iobufs/" + label, {{"locks", Tracer::Num(b.iobuffer_locks)}});
+    }
+  }
+
+  if (registry != nullptr) {
+    registry->Sample(now);
+  }
   if (health != nullptr) {
     health->Sample(now);
   }
 }
 
+// Self-rescheduling stream-0 sampler, bounded by `end` so RunUntil always
+// drains. Scheduled from the main context (stream 0) and rescheduled from
+// its own execution context (also stream 0), so the sampled series, the
+// trace tracks and every incident decision are part of the queue's
+// deterministic total order.
 void ScheduleMetricsSampler(EventQueue* eq, MetricsRegistry* registry, HealthMonitor* health,
-                            Kernel* kernel, Cycles at, Cycles interval, Cycles end) {
+                            Tracer* tracer, Kernel* kernel, Cycles at, Cycles interval,
+                            Cycles end) {
   if (at > end) {
     return;
   }
-  eq->ScheduleAt(at, [eq, registry, health, kernel, at, interval, end] {
-    SampleMetrics(registry, health, kernel, eq->now());
-    ScheduleMetricsSampler(eq, registry, health, kernel, at + interval, interval, end);
+  eq->ScheduleAt(at, [eq, registry, health, tracer, kernel, at, interval, end] {
+    SampleMetrics(registry, health, tracer, kernel, eq->now());
+    ScheduleMetricsSampler(eq, registry, health, tracer, kernel, at + interval, interval, end);
   });
 }
 
@@ -301,17 +293,11 @@ ExperimentResult RunExperiment(const ExperimentSpec& spec) {
   }
 
   Cycles run_end = CyclesFromSeconds(warmup_s) + CyclesFromSeconds(window_s);
-  if (tracer != nullptr && tracer->ledger_enabled() && tb->server != nullptr) {
-    Cycles interval = tracer->config().sample_interval > 0
-                          ? tracer->config().sample_interval
-                          : CyclesFromMillis(5.0);
-    ScheduleLedgerSampler(&eq, &tb->server->kernel(), tracer, 0, interval, run_end);
-  }
-  if (metrics != nullptr && tb->server != nullptr) {
-    Cycles interval = metrics->config().sample_interval > 0 ? metrics->config().sample_interval
-                                                            : CyclesFromMillis(5.0);
-    ScheduleMetricsSampler(&eq, metrics, health.get(), &tb->server->kernel(), 0, interval,
-                           run_end);
+  if (tb->server != nullptr && (metrics != nullptr || tracer != nullptr)) {
+    const MetricsConfig& mc = metrics != nullptr ? metrics->config() : spec.metrics;
+    Cycles interval = mc.sample_interval > 0 ? mc.sample_interval : CyclesFromMillis(5.0);
+    ScheduleMetricsSampler(&eq, metrics, health.get(), tracer, &tb->server->kernel(), 0,
+                           interval, run_end);
   }
 
   double sim_start_ms = MonotonicMillis();
@@ -435,9 +421,8 @@ ExperimentResult RunExperiment(const ExperimentSpec& spec) {
     // deterministic, so this stays byte-stable.
     health.reset();
     tb.reset();
-    MetricsRegistry::WriteFile(
-        spec.metrics.path,
-        MetricsRegistry::WrapDocument({owned_metrics->SerializeCell("run")}));
+    Tracer::WriteFile(spec.metrics.path,
+                      MetricsRegistry::WrapDocument({owned_metrics->SerializeCell("run")}));
   }
   return r;
 }

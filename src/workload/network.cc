@@ -43,7 +43,6 @@ void SharedLink::TransmitSequenced(const MacAddr& src, const MacAddr& dst,
   medium_free_ = start + tx;
   busy_cycles_ += tx;
   ++frames_;
-  bytes_ += frame.size();
 
   Cycles at = medium_free_;
   if (dst.IsBroadcast()) {

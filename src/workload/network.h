@@ -51,8 +51,6 @@ class SharedLink {
   // Test hook: drop every n-th frame (0 = no loss).
   void set_drop_every(uint64_t n) { drop_every_ = n; }
 
-  uint64_t frames_sent() const { return frames_; }
-  uint64_t bytes_sent() const { return bytes_; }
   uint64_t frames_dropped() const { return dropped_; }
   double utilization(Cycles window_start, Cycles window_end) const;
 
@@ -74,7 +72,6 @@ class SharedLink {
       [](const MacAddr& a, const MacAddr& b) { return a.bytes < b.bytes; }};
   Cycles medium_free_ = 0;
   uint64_t frames_ = 0;
-  uint64_t bytes_ = 0;
   uint64_t dropped_ = 0;
   uint64_t drop_every_ = 0;
   Cycles busy_cycles_ = 0;

@@ -1,6 +1,5 @@
 #include "src/workload/sweep.h"
 
-#include <cinttypes>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -97,38 +96,6 @@ double ParsePositiveDouble(const char* argv0, const char* flag, const char* valu
   return v;
 }
 
-void AppendEscaped(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      case '\r':
-        *out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
 void AppendDouble(std::string* out, double v) {
   if (!std::isfinite(v)) {
     v = 0.0;  // metrics are finite by construction; never emit invalid JSON
@@ -138,14 +105,8 @@ void AppendDouble(std::string* out, double v) {
   *out += buf;
 }
 
-void AppendUint(std::string* out, uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%" PRIu64, v);
-  *out += buf;
-}
-
 void AppendKey(std::string* out, const char* key) {
-  AppendEscaped(out, key);
+  *out += Tracer::Str(key);
   *out += ": ";
 }
 
@@ -328,8 +289,7 @@ void Sweep::Run(const SweepOptions& opts) {
     for (size_t i = 0; i < registries.size(); ++i) {
       fragments.push_back(registries[i]->SerializeCell(cells_[i].id));
     }
-    if (!MetricsRegistry::WriteFile(opts.metrics_path,
-                                    MetricsRegistry::WrapDocument(fragments))) {
+    if (!Tracer::WriteFile(opts.metrics_path, MetricsRegistry::WrapDocument(fragments))) {
       Die("cannot write metrics output to " + opts.metrics_path);
     }
   }
@@ -385,10 +345,10 @@ std::string Sweep::ToJson() const {
   AppendKey(&out, "schema_version");
   out += "7,\n  ";
   AppendKey(&out, "bench");
-  AppendEscaped(&out, name_);
+  out += Tracer::Str(name_);
   out += ",\n  ";
   AppendKey(&out, "jobs");
-  AppendUint(&out, static_cast<uint64_t>(jobs_used_));
+  out += Tracer::Num(static_cast<uint64_t>(jobs_used_));
   out += ",\n  ";
   AppendKey(&out, "cells");
   out += "[";
@@ -399,13 +359,13 @@ std::string Sweep::ToJson() const {
     out += i == 0 ? "\n" : ",\n";
     out += "    {";
     AppendKey(&out, "id");
-    AppendEscaped(&out, cell.id);
+    out += Tracer::Str(cell.id);
     out += ", ";
     AppendKey(&out, "ok");
     out += r.ok ? "true" : "false";
     out += ", ";
     AppendKey(&out, "error");
-    AppendEscaped(&out, r.error);
+    out += Tracer::Str(r.error);
     out += ",\n     ";
     AppendKey(&out, "tags");
     out += "{";
@@ -416,7 +376,7 @@ std::string Sweep::ToJson() const {
       }
       first = false;
       AppendKey(&out, k.c_str());
-      AppendEscaped(&out, v);
+      out += Tracer::Str(v);
     }
     out += "},\n     ";
     AppendKey(&out, "spec");
@@ -425,13 +385,13 @@ std::string Sweep::ToJson() const {
     out += cell.spec.linux_server ? "true" : "false";
     out += ", ";
     AppendKey(&out, "config");
-    AppendEscaped(&out, ServerConfigName(cell.spec.config));
+    out += Tracer::Str(ServerConfigName(cell.spec.config));
     out += ", ";
     AppendKey(&out, "clients");
-    AppendUint(&out, static_cast<uint64_t>(cell.spec.clients));
+    out += Tracer::Num(static_cast<uint64_t>(cell.spec.clients));
     out += ", ";
     AppendKey(&out, "doc");
-    AppendEscaped(&out, cell.spec.doc);
+    out += Tracer::Str(cell.spec.doc);
     out += ", ";
     AppendKey(&out, "qos_stream");
     out += cell.spec.qos_stream ? "true" : "false";
@@ -440,7 +400,7 @@ std::string Sweep::ToJson() const {
     AppendDouble(&out, cell.spec.syn_attack_rate);
     out += ", ";
     AppendKey(&out, "cgi_attackers");
-    AppendUint(&out, static_cast<uint64_t>(cell.spec.cgi_attackers));
+    out += Tracer::Num(static_cast<uint64_t>(cell.spec.cgi_attackers));
     out += ", ";
     AppendKey(&out, "warmup_s");
     AppendDouble(&out, cell.spec.warmup_s);
@@ -449,7 +409,7 @@ std::string Sweep::ToJson() const {
     AppendDouble(&out, cell.spec.window_s);
     out += ", ";
     AppendKey(&out, "detect");
-    AppendEscaped(&out, DetectModeName(cell.spec.detect.mode));
+    out += Tracer::Str(DetectModeName(cell.spec.detect.mode));
     out += "},\n     ";
     AppendKey(&out, "metrics");
     out += "{";
@@ -460,37 +420,37 @@ std::string Sweep::ToJson() const {
     AppendDouble(&out, e.qos_bytes_per_sec);
     out += ", ";
     AppendKey(&out, "completions_total");
-    AppendUint(&out, e.completions_total);
+    out += Tracer::Num(e.completions_total);
     out += ", ";
     AppendKey(&out, "client_failures");
-    AppendUint(&out, e.client_failures);
+    out += Tracer::Num(e.client_failures);
     out += ", ";
     AppendKey(&out, "paths_killed");
-    AppendUint(&out, e.paths_killed);
+    out += Tracer::Num(e.paths_killed);
     out += ", ";
     AppendKey(&out, "syns_dropped_at_demux");
-    AppendUint(&out, e.syns_dropped_at_demux);
+    out += Tracer::Num(e.syns_dropped_at_demux);
     out += ", ";
     AppendKey(&out, "syns_sent");
-    AppendUint(&out, e.syns_sent);
+    out += Tracer::Num(e.syns_sent);
     out += ", ";
     AppendKey(&out, "runaway_detections");
-    AppendUint(&out, e.runaway_detections);
+    out += Tracer::Num(e.runaway_detections);
     out += ", ";
     AppendKey(&out, "kill_cost_mean");
     AppendDouble(&out, e.kill_cost_mean);
     out += ", ";
     AppendKey(&out, "window_cycles");
-    AppendUint(&out, e.window_cycles);
+    out += Tracer::Num(e.window_cycles);
     out += ", ";
     AppendKey(&out, "pd_crossings");
-    AppendUint(&out, e.pd_crossings);
+    out += Tracer::Num(e.pd_crossings);
     out += ", ";
     AppendKey(&out, "accounting_overhead");
-    AppendUint(&out, e.accounting_overhead);
+    out += Tracer::Num(e.accounting_overhead);
     out += ", ";
     AppendKey(&out, "ledger_total");
-    AppendUint(&out, e.ledger.Total());
+    out += Tracer::Num(e.ledger.Total());
     out += "},\n     ";
     AppendKey(&out, "ledger");
     out += "{";
@@ -500,9 +460,9 @@ std::string Sweep::ToJson() const {
         out += ", ";
       }
       first = false;
-      AppendEscaped(&out, label);
+      out += Tracer::Str(label);
       out += ": ";
-      AppendUint(&out, cycles);
+      out += Tracer::Num(cycles);
     }
     out += "},\n     ";
     // Host wall-clock performance of the cell. Machine- and load-dependent
@@ -525,40 +485,40 @@ std::string Sweep::ToJson() const {
     AppendKey(&out, "memory");
     out += "{";
     AppendKey(&out, "pcb_slot_bytes");
-    AppendUint(&out, mem.pcb_slot_bytes);
+    out += Tracer::Num(mem.pcb_slot_bytes);
     out += ", ";
     AppendKey(&out, "pcb_live");
-    AppendUint(&out, mem.pcb_live);
+    out += Tracer::Num(mem.pcb_live);
     out += ", ";
     AppendKey(&out, "pcb_high_water");
-    AppendUint(&out, mem.pcb_high_water);
+    out += Tracer::Num(mem.pcb_high_water);
     out += ", ";
     AppendKey(&out, "pcb_bytes_reserved");
-    AppendUint(&out, mem.pcb_bytes_reserved);
+    out += Tracer::Num(mem.pcb_bytes_reserved);
     out += ", ";
     AppendKey(&out, "peer_slot_bytes");
-    AppendUint(&out, mem.peer_slot_bytes);
+    out += Tracer::Num(mem.peer_slot_bytes);
     out += ", ";
     AppendKey(&out, "peer_live");
-    AppendUint(&out, mem.peer_live);
+    out += Tracer::Num(mem.peer_live);
     out += ", ";
     AppendKey(&out, "peer_high_water");
-    AppendUint(&out, mem.peer_high_water);
+    out += Tracer::Num(mem.peer_high_water);
     out += ", ";
     AppendKey(&out, "peer_bytes_reserved");
-    AppendUint(&out, mem.peer_bytes_reserved);
+    out += Tracer::Num(mem.peer_bytes_reserved);
     out += ", ";
     AppendKey(&out, "timers_armed");
-    AppendUint(&out, mem.timers_armed);
+    out += Tracer::Num(mem.timers_armed);
     out += ", ";
     AppendKey(&out, "timer_high_water");
-    AppendUint(&out, mem.timer_high_water);
+    out += Tracer::Num(mem.timer_high_water);
     out += ", ";
     AppendKey(&out, "timer_capacity");
-    AppendUint(&out, mem.timer_capacity);
+    out += Tracer::Num(mem.timer_capacity);
     out += ", ";
     AppendKey(&out, "timer_bytes_reserved");
-    AppendUint(&out, mem.timer_bytes_reserved);
+    out += Tracer::Num(mem.timer_bytes_reserved);
     out += ", ";
     // The headline scale number: total reserved connection+timer bytes per
     // regular client (0 when the cell has none).
@@ -579,25 +539,25 @@ std::string Sweep::ToJson() const {
     AppendKey(&out, "detection");
     out += "{";
     AppendKey(&out, "detections");
-    AppendUint(&out, det.detections);
+    out += Tracer::Num(det.detections);
     out += ", ";
     AppendKey(&out, "true_positives");
-    AppendUint(&out, det.true_positives);
+    out += Tracer::Num(det.true_positives);
     out += ", ";
     AppendKey(&out, "false_positives");
-    AppendUint(&out, det.false_positives);
+    out += Tracer::Num(det.false_positives);
     out += ", ";
     AppendKey(&out, "paths_killed_by_detector");
-    AppendUint(&out, det.paths_killed_by_detector);
+    out += Tracer::Num(det.paths_killed_by_detector);
     out += ", ";
     AppendKey(&out, "blacklist_size");
-    AppendUint(&out, det.blacklist_size);
+    out += Tracer::Num(det.blacklist_size);
     out += ", ";
     AppendKey(&out, "first_detection_ms");
     AppendDouble(&out, det.first_detection_ms);
     out += ", ";
     AppendKey(&out, "decision_digest");
-    AppendUint(&out, det.decision_digest);
+    out += Tracer::Num(det.decision_digest);
     out += "},\n     ";
     // HealthMonitor incident forensics (schema v6): the onset →
     // detection → containment → recovery timeline with derived TTD/TTR.
@@ -607,7 +567,7 @@ std::string Sweep::ToJson() const {
     AppendKey(&out, "incidents");
     out += "{";
     AppendKey(&out, "count");
-    AppendUint(&out, static_cast<uint64_t>(e.incidents.size()));
+    out += Tracer::Num(static_cast<uint64_t>(e.incidents.size()));
     out += ", ";
     AppendKey(&out, "records");
     out += "[";
@@ -618,7 +578,7 @@ std::string Sweep::ToJson() const {
       }
       out += "{";
       AppendKey(&out, "trigger");
-      AppendEscaped(&out, inc.trigger);
+      out += Tracer::Str(inc.trigger);
       out += ", ";
       AppendKey(&out, "onset_ms");
       AppendDouble(&out, MillisFromCycles(inc.onset));
@@ -639,13 +599,13 @@ std::string Sweep::ToJson() const {
       AppendDouble(&out, inc.ttr_ms());
       out += ", ";
       AppendKey(&out, "pressure_breaches");
-      AppendUint(&out, inc.pressure_breaches);
+      out += Tracer::Num(inc.pressure_breaches);
       out += ", ";
       AppendKey(&out, "detection_signals");
-      AppendUint(&out, inc.detection_signals);
+      out += Tracer::Num(inc.detection_signals);
       out += ", ";
       AppendKey(&out, "containment_actions");
-      AppendUint(&out, inc.containment_actions);
+      out += Tracer::Num(inc.containment_actions);
       out += "}";
     }
     out += "]},\n     ";
@@ -667,15 +627,7 @@ std::string Sweep::ToJson() const {
 }
 
 bool Sweep::WriteJson(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return false;
-  }
-  std::string json = ToJson();
-  size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  bool ok = written == json.size();
-  ok = std::fclose(f) == 0 && ok;
-  return ok;
+  return Tracer::WriteFile(path, ToJson());
 }
 
 }  // namespace escort

@@ -1,16 +1,15 @@
 #!/usr/bin/env python3
-"""ctest wrapper for the escort_analyzer corpus expectations.
+"""ctest wrapper for the static checker, tools/lint/escort_lint.py.
 
-Asserts three things, in increasing order of reach:
-  1. the analyzer's own corpus self-test passes (exact rule/line agreement
-     with the `// EXPECT: EA00x` markers, zero spurious findings),
-  2. an independent re-derivation of the corpus expectations from the
-     marker comments matches the findings the analyzer prints, so the
-     self-test harness itself is cross-checked,
-  3. the shipped src/ tree analyzes clean (no unsuppressed findings).
-
-Runs the deterministic fallback engine explicitly so the result does not
-depend on whether libclang happens to be installed.
+Asserts, in increasing order of reach:
+  1. the checker's own --self-test passes (exact (file, line, rule)
+     agreement with the `// EXPECT: RULE` markers in tools/lint/fixtures/),
+  2. an independent re-derivation of those markers matches the findings
+     the checker prints for the fixture tree, so the self-test harness
+     itself is cross-checked,
+  3. every rule has at least one expectation, and every fixture without a
+     marker (the negative-space cases) is silent,
+  4. the shipped tree (src/, tests/, bench/, examples/) is clean.
 """
 
 import os
@@ -20,71 +19,85 @@ import sys
 import unittest
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-ANALYZER = os.path.join(REPO, "tools", "analyze", "escort_analyzer.py")
-CORPUS = os.path.join(REPO, "tools", "analyze", "corpus")
+CHECKER = os.path.join(REPO, "tools", "lint", "escort_lint.py")
+FIXTURES = os.path.join(REPO, "tools", "lint", "fixtures")
 
-EXPECT_RE = re.compile(r"//\s*EXPECT:\s*((?:EA\d{3}[ \t]*)+)")
-FINDING_RE = re.compile(r"^(.+?):(\d+): (EA\d{3}): ")
+RULES = ("EL001", "EL002", "EL003", "EL004", "EL005", "EL006", "EL007",
+         "EL008", "EL009", "EL011", "EL013", "EL014", "EL015",
+         "EA001", "EA003", "EA005")
+EXPECT_RE = re.compile(r"//\s*EXPECT:\s*((?:E[LA]\d{3}[ \t]*)+)")
+FINDING_RE = re.compile(r"^(.+?):(\d+): (E[LA]\d{3}): ")
 
 
-def run_analyzer(*args):
-    proc = subprocess.run(
-        [sys.executable, ANALYZER, "--engine", "fallback", *args],
-        capture_output=True, text=True, cwd=REPO)
+def run_checker(*args):
+    proc = subprocess.run([sys.executable, CHECKER, *args],
+                          capture_output=True, text=True, cwd=REPO)
     return proc.returncode, proc.stdout, proc.stderr
 
 
-class AnalyzerCorpusTest(unittest.TestCase):
-    def test_self_test_passes(self):
-        rc, out, err = run_analyzer("--self-test")
-        self.assertEqual(rc, 0, f"self-test failed:\n{out}\n{err}")
-        self.assertIn("PASS", out)
-
-    def test_corpus_findings_match_expect_markers(self):
-        corpus_files = sorted(
-            f for f in os.listdir(CORPUS) if f.endswith(".cc"))
-        self.assertGreaterEqual(len(corpus_files), 4,
-                                "corpus lost files: " + ", ".join(corpus_files))
-        expected = set()
-        for name in corpus_files:
-            with open(os.path.join(CORPUS, name), encoding="utf-8") as fh:
+def fixture_expectations():
+    """relpath -> set of (line, rule) for every fixture file."""
+    out = {}
+    for dirpath, _dirs, names in os.walk(FIXTURES):
+        for name in names:
+            path = os.path.join(dirpath, name)
+            rel = os.path.relpath(path, FIXTURES).replace(os.sep, "/")
+            out[rel] = set()
+            with open(path, encoding="utf-8") as fh:
                 for lineno, line in enumerate(fh, start=1):
                     m = EXPECT_RE.search(line)
                     if m is not None:
-                        for rule in m.group(1).split():
-                            expected.add((name, lineno, rule))
-        # Every rule must be exercised by at least one corpus expectation.
-        for rule in ("EA001", "EA003", "EA005"):
-            self.assertIn(rule, {r for _, _, r in expected},
-                          f"corpus no longer covers {rule}")
+                        out[rel] |= {(lineno, rule) for rule in m.group(1).split()}
+    return out
 
-        rc, out, err = run_analyzer(
-            "--root", CORPUS, "-q",
-            *[os.path.join(CORPUS, n) for n in corpus_files])
-        self.assertEqual(rc, 1, "corpus must produce findings:\n" + out + err)
-        got = set()
+
+class StaticCheckerTest(unittest.TestCase):
+    @classmethod
+    def setUpClass(cls):
+        cls.expectations = fixture_expectations()
+        rc, out, err = run_checker("--root", FIXTURES, "-q")
+        cls.fixture_rc, cls.fixture_output = rc, out + err
+        cls.got = set()
         for line in out.splitlines():
             m = FINDING_RE.match(line)
             if m is not None:
-                got.add((os.path.basename(m.group(1)), int(m.group(2)),
-                         m.group(3)))
+                cls.got.add((m.group(1), int(m.group(2)), m.group(3)))
+
+    def test_self_test_passes(self):
+        rc, out, err = run_checker("--self-test")
+        self.assertEqual(rc, 0, f"self-test failed:\n{out}\n{err}")
+        self.assertIn("PASS", out)
+
+    def test_fixture_findings_match_expect_markers(self):
+        expected = {(rel, line, rule) for rel, marks in self.expectations.items()
+                    for line, rule in marks}
+        self.assertEqual(self.fixture_rc, 1,
+                         "fixtures must produce findings:\n" + self.fixture_output)
         self.assertEqual(
-            expected, got,
+            expected, self.got,
             "marker/finding mismatch:\n  missing: "
-            f"{sorted(expected - got)}\n  spurious: {sorted(got - expected)}")
+            f"{sorted(expected - self.got)}\n  spurious: {sorted(self.got - expected)}")
 
-    def test_clean_corpus_file_is_silent(self):
-        clean = os.path.join(CORPUS, "clean.cc")
-        rc, out, err = run_analyzer("--root", CORPUS, "-q", clean)
-        self.assertEqual(rc, 0,
-                         f"clean.cc produced findings:\n{out}\n{err}")
+    def test_every_rule_has_an_expectation(self):
+        covered = {rule for marks in self.expectations.values() for _, rule in marks}
+        for rule in RULES:
+            self.assertIn(rule, covered, f"no fixture expects {rule}")
 
-    def test_src_tree_has_no_unsuppressed_findings(self):
-        rc, out, err = run_analyzer()
+    def test_clean_fixtures_are_silent(self):
+        clean = sorted(rel for rel, marks in self.expectations.items() if not marks)
+        for rel in ("src/clean.cc", "src/clean.h", "src/clean_statics.cc",
+                    "src/sim/trace.cc", "tests/test_registry_direct.cc"):
+            self.assertIn(rel, clean)
+        noisy = sorted(f for f in self.got if f[0] in clean)
+        self.assertEqual(noisy, [], "negative-space fixtures produced findings")
+
+    def test_tree_is_clean(self):
+        rc, out, err = run_checker()
         self.assertEqual(
             rc, 0,
-            "src/ must analyze clean (suppressions need NOLINT-EA00x with a "
-            f"reason):\n{out}\n{err}")
+            "src/, tests/, bench/ and examples/ must check clean (EA "
+            f"suppressions need NOLINT-EA00x with a reason):\n{out}\n{err}")
+        self.assertIn("findings=0", out)
 
 
 if __name__ == "__main__":

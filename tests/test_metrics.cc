@@ -118,7 +118,7 @@ TEST(DeltaSeriesTest, CoalescesWithinBin) {
 
 // Pins the exact serialized form. A diff here is a schema change: update
 // the golden string AND tools/ consumers (check_bench_json.py renderers,
-// DESIGN.md §6.11) together.
+// DESIGN.md §6.10) together.
 TEST(MetricsRegistryTest, GoldenDocument) {
   MetricsConfig mc;
   mc.sample_interval = 100;
@@ -225,6 +225,23 @@ TEST(MetricsDeterminismTest, DocumentByteIdenticalAcrossJobs) {
       EXPECT_EQ(doc, reference) << "metrics document differs at jobs=" << jobs;
     }
   }
+}
+
+// A failed final flush is a failed write. On a full device fwrite only
+// buffers a small document and fclose is what fails, so the sweep must
+// exit instead of reporting success.
+TEST(MetricsOutputDeathTest, FullDeviceFailsTheSweep) {
+  EXPECT_EXIT(
+      {
+        Sweep sweep("metrics_full_device");
+        sweep.AddCustom("empty", ExperimentSpec(),
+                        [](const ExperimentSpec&) { return CellMetrics(); });
+        SweepOptions opts;
+        opts.jobs = 1;
+        opts.metrics_path = "/dev/full";
+        sweep.Run(opts);
+      },
+      ::testing::ExitedWithCode(1), "cannot write metrics output");
 }
 
 // --- zero perturbation ---------------------------------------------------

@@ -27,8 +27,8 @@
 namespace escort {
 namespace {
 
-// Budget the bench gate pins (tools/check_perf_regression.py --check-scale):
-// measured ~261 bytes/client at 1M; 2048 leaves headroom for slot growth
+// Reserved bytes per client, checked here on the current code: measured
+// ~261 bytes/client at 1M; 2048 leaves headroom for slot growth
 // without letting a shared_ptr web creep back in unnoticed.
 constexpr double kBytesPerClientBudget = 2048.0;
 

@@ -127,6 +127,26 @@ TEST(Trace, ByteIdenticalAcrossRuns) {
   EXPECT_NE(doc1.find("pages/"), std::string::npos);
 }
 
+// With no output path a flight dump stays in memory: the incident the
+// attack cell opens must not leave a `.flight.json` in the working
+// directory.
+TEST(Trace, EmptyPathKeepsFlightDumpInMemory) {
+  std::remove(".flight.json");
+  TraceConfig tc;
+  Tracer tracer(tc);
+  ExperimentSpec spec = AttackSpec();
+  spec.tracer = &tracer;
+  RunExperiment(spec);
+
+  ASSERT_GT(tracer.flight_dumps(), 0u);
+  EXPECT_FALSE(tracer.last_flight_dump().empty());
+  std::FILE* f = std::fopen(".flight.json", "rb");
+  EXPECT_EQ(f, nullptr) << "flight dump written to ./.flight.json";
+  if (f != nullptr) {
+    std::fclose(f);
+  }
+}
+
 // Tracing is observation only: attaching a tracer must not change any
 // measured result (the instrumentation sites branch on the pointer and
 // do no work when it is null — zero overhead when disabled, zero

@@ -8,14 +8,11 @@ tests/test_bench_json.cc pins at the C++ level, but from the outside —
 CI's bench smoke job runs it against freshly produced output.
 
 Checks per file:
-  * parses as JSON, schema_version in {4, 5, 6, 7} (older versions are
-    committed snapshots from earlier PRs: 5 added `detection`, 6 added
-    `incidents`, 7 dropped the intra-cell sharding keys — key sets are
-    enforced per version)
+  * parses as JSON, schema_version == 7
   * top-level keys exactly {schema_version, bench, jobs, cells}
   * every cell carries exactly the pinned cell/spec/metrics/perf/memory/
-    detection/incidents key sets of its version
-  * incidents (v6+): count == len(records); each record has finite
+    detection/incidents key sets
+  * incidents: count == len(records); each record has finite
     onset_ms >= 0 and ttd_ms/ttr_ms either -1 (unreached) or >= 0
   * cell ids are unique and non-empty; jobs >= 1
   * ok:true cells have empty error; ok:false cells have a message
@@ -26,9 +23,8 @@ Usage:
   check_bench_json.py FILE [FILE...]
   check_bench_json.py --require-ok FILE   # additionally fail on any ok:false cell
   check_bench_json.py --expect-equal A B  # A and B must carry identical results
-                                          # (schema_version, jobs, the
-                                          # determinism-exempt blocks and the
-                                          # retired v<=6 scheduling keys are
+                                          # (schema_version, jobs and the
+                                          # determinism-exempt blocks are
                                           # ignored, so a run before a change
                                           # compares against one after it)
   check_bench_json.py --dump-detection F  # print one canonical line per cell
@@ -50,7 +46,7 @@ import math
 import sys
 
 TOP_KEYS = {"schema_version", "bench", "jobs", "cells"}
-SCHEMA_VERSIONS = (4, 5, 6, 7)
+SCHEMA_VERSION = 7
 CELL_KEYS = {"id", "ok", "error", "tags", "spec", "metrics", "ledger", "perf",
              "memory", "detection", "incidents", "extra"}
 SPEC_KEYS = {
@@ -83,33 +79,12 @@ INCIDENT_RECORD_KEYS = {
     "containment_actions",
 }
 
-# Keys of the intra-cell sharding era (schema <= 6), deleted in schema 7.
-LEGACY_CELL_KEYS = {"shard_utilization"}
-LEGACY_SPEC_KEYS = {"shards", "adaptive_lookahead", "timer_wheel", "placement",
-                    "placement_map"}
-LEGACY_PERF_KEYS = {"windows_per_sec"}
-
 # What --expect-equal strips: anything machine-dependent (perf) or
-# layout-dependent (memory), plus the legacy scheduling keys. `detection`
-# is stripped too, but NOT because it may differ: detection decisions are
-# required to be bit-identical, and CI enforces that separately with a
-# --dump-detection byte-diff (the stricter check owns the block).
-DETERMINISM_EXEMPT_BLOCKS = ("perf", "memory", "detection") + tuple(sorted(LEGACY_CELL_KEYS))
-
-
-def keys_for(schema: int):
-    """(cell, spec, perf) key sets of a schema version."""
-    cell, spec, perf = set(CELL_KEYS), set(SPEC_KEYS), set(PERF_KEYS)
-    if schema <= 6:
-        cell |= LEGACY_CELL_KEYS
-        spec |= LEGACY_SPEC_KEYS
-        perf |= LEGACY_PERF_KEYS
-    if schema <= 5:
-        cell.discard("incidents")
-    if schema <= 4:
-        cell.discard("detection")
-        spec.discard("detect")
-    return cell, spec, perf
+# layout-dependent (memory). `detection` is stripped too, but NOT because
+# it may differ: detection decisions are required to be bit-identical, and
+# CI enforces that separately with a --dump-detection byte-diff (the
+# stricter check owns the block).
+DETERMINISM_EXEMPT_BLOCKS = ("perf", "memory", "detection")
 
 
 def expect_keys(errors: list, got: dict, want: set, what: str) -> None:
@@ -124,7 +99,7 @@ def expect_keys(errors: list, got: dict, want: set, what: str) -> None:
 
 def check_incidents(errors: list, incidents, what: str) -> None:
     if not isinstance(incidents, dict):
-        errors.append(f"{what}: 'incidents' must be an object (schema v6+)")
+        errors.append(f"{what}: 'incidents' must be an object")
         return
     expect_keys(errors, incidents, INCIDENTS_KEYS, f"{what}.incidents")
     records = incidents.get("records")
@@ -180,9 +155,8 @@ def check_file(path: str, require_ok: bool) -> list:
         return [f"{path}: top level is not an object"]
     expect_keys(errors, root, TOP_KEYS, f"{path}: top level")
     schema = root.get("schema_version")
-    if schema not in SCHEMA_VERSIONS:
-        errors.append(f"{path}: schema_version is {schema!r}, "
-                      f"expected one of {SCHEMA_VERSIONS}")
+    if schema != SCHEMA_VERSION:
+        errors.append(f"{path}: schema_version is {schema!r}, expected {SCHEMA_VERSION}")
         return errors
     if not isinstance(root.get("bench"), str) or not root.get("bench"):
         errors.append(f"{path}: 'bench' must be a non-empty string")
@@ -195,14 +169,13 @@ def check_file(path: str, require_ok: bool) -> list:
         errors.append(f"{path}: 'cells' must be a non-empty array")
         return errors
 
-    cell_keys, spec_keys, perf_keys = keys_for(schema)
     seen_ids: set = set()
     for i, cell in enumerate(cells):
         what = f"{path}: cells[{i}]"
         if not isinstance(cell, dict):
             errors.append(f"{what}: not an object")
             continue
-        expect_keys(errors, cell, cell_keys, what)
+        expect_keys(errors, cell, CELL_KEYS, what)
         cid = cell.get("id")
         if not isinstance(cid, str) or not cid:
             errors.append(f"{what}: 'id' must be a non-empty string")
@@ -223,25 +196,22 @@ def check_file(path: str, require_ok: bool) -> list:
             if require_ok:
                 errors.append(f"{what}: cell failed ({err!r}) and --require-ok is set")
 
-        for sub, want in (("spec", spec_keys), ("metrics", METRIC_KEYS),
-                          ("perf", perf_keys), ("memory", MEMORY_KEYS)):
+        for sub, want in (("spec", SPEC_KEYS), ("metrics", METRIC_KEYS),
+                          ("perf", PERF_KEYS), ("memory", MEMORY_KEYS)):
             obj = cell.get(sub)
             if not isinstance(obj, dict):
                 errors.append(f"{what}: '{sub}' must be an object")
                 continue
             expect_keys(errors, obj, want, f"{what}.{sub}")
-        if "detection" in cell_keys:
-            detection = cell.get("detection")
-            if not isinstance(detection, dict):
-                errors.append(f"{what}: 'detection' must be an object")
-            else:
-                expect_keys(errors, detection, DETECTION_KEYS, f"{what}.detection")
-                check_numbers(errors, detection, f"{what}.detection", True)
-        if "incidents" in cell_keys:
-            check_incidents(errors, cell.get("incidents"), what)
+        detection = cell.get("detection")
+        if not isinstance(detection, dict):
+            errors.append(f"{what}: 'detection' must be an object")
+        else:
+            expect_keys(errors, detection, DETECTION_KEYS, f"{what}.detection")
+            check_numbers(errors, detection, f"{what}.detection", True)
+        check_incidents(errors, cell.get("incidents"), what)
         spec = cell.get("spec")
-        if isinstance(spec, dict) and "detect" in spec_keys \
-                and spec.get("detect") not in DETECT_MODES:
+        if isinstance(spec, dict) and spec.get("detect") not in DETECT_MODES:
             errors.append(f"{what}.spec.detect: {spec.get('detect')!r} "
                           f"not one of {DETECT_MODES}")
         check_numbers(errors, cell.get("metrics"), f"{what}.metrics", False)
@@ -254,17 +224,13 @@ def check_file(path: str, require_ok: bool) -> list:
 
 def normalized_for_equality(root: dict) -> dict:
     """Strips what legitimately differs between two runs of the same grid:
-    the top-level schema_version and jobs, the determinism-exempt cell
-    blocks, and the legacy scheduling spec keys — host and layout detail,
-    not results."""
+    the top-level schema_version and jobs, and the determinism-exempt cell
+    blocks — host and layout detail, not results."""
     out = json.loads(json.dumps(root))  # deep copy
     out.pop("jobs", None)
     out.pop("schema_version", None)
     for cell in out.get("cells", []):
         if isinstance(cell, dict):
-            if isinstance(cell.get("spec"), dict):
-                for key in LEGACY_SPEC_KEYS:
-                    cell["spec"].pop(key, None)
             for block in DETERMINISM_EXEMPT_BLOCKS:
                 cell.pop(block, None)
     return out

@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
-"""escort_lint: project-specific invariant checks for the Escort tree.
+"""escort_lint: the static checker for the Escort tree.
 
 Generic linters cannot express the invariants this reproduction depends on
 (resource-conservation accounting, bit-for-bit deterministic simulation),
-so this tool checks them statically:
+so this tool checks them statically. The EL rules are token-level checks
+over comment- and string-stripped source; the EA rules need structure
+(scopes, capture lists, control flow) and run over a small model of src/
+built by a pure-Python C++ parser. tools/lint/README.md has the catalogue.
 
   EL001  include guard must match the file path (SRC_KERNEL_OWNER_H_ style)
          and the closing #endif must carry the guard comment.
@@ -32,50 +35,60 @@ so this tool checks them statically:
   EL008  reclamation/audit completeness: every tracking list declared in
          class Owner must be reclaimed in Kernel::DestroyOwner, and every
          tracking list and ResourceUsage counter (except cycles) must be
-         drain-checked in Auditor::CheckOwnerDrained. A new resource class
-         cannot silently skip reclamation or auditing.
-  EL009  thread hygiene / cell isolation: no mutable static state in src/
-         (file-scope or function-local). The parallel sweep runner runs
-         one simulation cell per worker thread; determinism there means
-         "no cross-cell shared mutable state", and a mutable static is
-         exactly that. `static const` / `static constexpr` / constexpr
-         are fine (immutable singletons such as CostModel::Calibrated()).
+         drain-checked in Auditor::CheckOwnerDrained.
+  EL009  cell isolation: no mutable static state in src/ (file-scope or
+         function-local). The sweep runner runs one simulation cell per
+         worker thread, and a mutable static is state two cells share.
+         `static const` / `static constexpr` / constexpr are fine.
   EL011  diagnostics funnel through Tracer::Diag: no printf/fprintf/
          fputs/puts, no std::cout/cerr/clog, and no bare stdout/stderr
          anywhere in src/ except src/sim/trace.cc (the funnel itself)
          and src/workload/sweep.cc (the bench CLI layer, whose tables
-         ARE its output). Simulation code writing to the console
-         directly bypasses the single choke point that keeps output
-         deterministic and redirectable; snprintf (formatting into a
-         buffer) is fine.
+         ARE its output). snprintf (formatting into a buffer) is fine.
   EL013  slab-slot hygiene: a type marked ESCORT_SLAB_SLOT (stored by
          value in a generation-tagged Slab<T>, src/elib/slab.h) must not
-         own shared_ptr members. Slab storage is recycled across
-         incarnations under a generation tag; a shared_ptr member keeps
-         its referent alive past Release, resurrecting exactly the
-         refcount webs and stale-owner aliasing the slab replaces.
+         own shared_ptr members: a slot is recycled under a generation
+         tag, and a shared_ptr member keeps its referent alive past
+         Release.
   EL014  detection-accumulator determinism: a type marked
-         ESCORT_DETECT_ACCUMULATOR (src/server/detect.h) holds online
-         detection state whose decision sequence must be bit-identical
-         at any --jobs. Unordered containers iterate in
-         hash-seed order and float/double members accumulate in
-         arrival order, so both leak scheduling into the decisions:
-         marked types must hold only integer state, and the detection
-         module itself (src/server/detect.*) must use ordered
-         containers throughout. Derive float views (mean, sigma) at
-         compare time from the integer moments instead.
+         ESCORT_DETECT_ACCUMULATOR (src/server/detect.h) holds only
+         integer state. float/double members accumulate in arrival order
+         and leak scheduling into decisions that must be bit-identical at
+         any --jobs; derive float views at compare time instead.
   EL015  metric registration goes through the ESCORT_METRIC_* macros
-         (src/sim/metrics.h): no direct MetricsRegistry::Register*
-         calls in src/ outside the metrics module itself. The macros
-         keep every instrumentation site greppable under one prefix
-         and preserve the null-registry (metrics disabled) idiom the
-         MetricAdd/MetricSet/MetricObserve helpers rely on. Tests and
-         benches exercise the registry directly and are exempt.
+         (src/sim/metrics.h): no direct MetricsRegistry::Register* calls
+         in src/ outside the metrics module itself.
+  EA001  deferred-capture safety: a lambda literal passed to an
+         ESCORT_DEFERRED_API must not capture `this` of a kernel-lifetime
+         class, a pointer/reference to a kernel-lifetime object, or use a
+         capture-default ([=] / [&]). Capture a value key (ConnKey, owner
+         id, stage index) and revalidate at fire time.
+  EA003  charge/release flow pairing: a resource handle acquired from
+         AllocPage / AllocIoBuffer / LockIoBuffer must, on every exit path
+         of the acquiring function, be released (FreePage / UnlockIoBuffer),
+         transferred (passed to a call, stored into a field or container,
+         returned), or provably null.
+  EA005  determinism: no iteration over a pointer-keyed std::map/std::set
+         (range-for or begin()): its order follows the allocator.
+
+The EA rules read two markers, comments on the line(s) directly above a
+declaration: ESCORT_KERNEL_LIFETIME (a class whose instances pathKill or
+owner teardown reclaims at arbitrary times) and ESCORT_DEFERRED_API (a
+function whose callable argument runs after the current event).
+
+Suppression: `// NOLINT-EA00x(reason)` on the flagged line, or alone on the
+line above, suppresses that EA rule there. The reason is mandatory; an
+empty reason is itself reported (EA000).
+
+Self-test: tools/lint/fixtures/ is a miniature tree whose files carry
+`// EXPECT: RULE` on every line a rule must flag. --self-test requires
+exact (file, line, rule) agreement and at least one expectation per rule.
 
 Usage:
-  escort_lint.py [--root DIR] [--self-test] [-q]
+  escort_lint.py [--root DIR] [-q]
+  escort_lint.py --self-test
 
-Exit status: 0 clean (or self-test passed), 1 violations found, 2 error.
+Exit status: 0 clean (or self-test passed), 1 findings, 2 error.
 """
 
 from __future__ import annotations
@@ -84,11 +97,20 @@ import argparse
 import os
 import re
 import sys
-import tempfile
 
-# Directories scanned relative to the repository root.
+# Directories scanned relative to the repository root; the EA rules see
+# only the src/ headers and sources among them.
 SCAN_DIRS = ("src", "tests", "bench", "examples")
 CXX_EXTS = (".h", ".hh", ".hpp", ".cc", ".cpp", ".cxx")
+MODEL_EXTS = (".h", ".cc")
+
+# Every rule the self-test fixtures must exercise.
+RULES = ("EL001", "EL002", "EL003", "EL004", "EL005", "EL006", "EL007",
+         "EL008", "EL009", "EL011", "EL013", "EL014", "EL015",
+         "EA000", "EA001", "EA003", "EA005")
+
+FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
+EXPECT_RE = re.compile(r"//\s*EXPECT:\s*((?:E[LA]\d{3}[ \t]*)+)")
 
 # EL005: files allowed to use naked new/delete (the kernel's own
 # allocators, which hand out raw objects by design).
@@ -107,15 +129,18 @@ PAIRING_EXEMPT_COUNTERS = {"cycles"}
 DIAG_ALLOWLIST = ("src/sim/trace.cc", "src/workload/sweep.cc")
 
 
-class Violation:
+class Finding:
     def __init__(self, path: str, line: int, rule: str, message: str):
         self.path = path
         self.line = line
         self.rule = rule
         self.message = message
 
+    def key(self):
+        return (self.path, self.line, self.rule)
+
     def __str__(self) -> str:
-        return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
+        return f"{self.path}:{self.line}: {self.rule}: {self.message}"
 
 
 def strip_comments_and_strings(text: str) -> str:
@@ -156,11 +181,9 @@ def strip_comments_and_strings(text: str) -> str:
                 continue
             out.append(c)
         elif state == "line_comment":
+            out.append(c if c == "\n" else " ")
             if c == "\n":
                 state = "code"
-                out.append(c)
-            else:
-                out.append(" ")
         elif state == "block_comment":
             if c == "*" and nxt == "/":
                 state = "code"
@@ -168,7 +191,7 @@ def strip_comments_and_strings(text: str) -> str:
                 i += 2
                 continue
             out.append("\n" if c == "\n" else " ")
-        elif state in ("string", "char"):
+        else:  # string | char
             quote = '"' if state == "string" else "'"
             if c == "\\":
                 out.append("  ")
@@ -181,38 +204,66 @@ def strip_comments_and_strings(text: str) -> str:
     return "".join(out)
 
 
+def match_brace(code: str, open_idx: int, open_ch: str = "{", close_ch: str = "}") -> int:
+    """Index of the bracket closing code[open_idx], or -1."""
+    depth = 0
+    for i in range(open_idx, len(code)):
+        c = code[i]
+        if c == open_ch:
+            depth += 1
+        elif c == close_ch:
+            depth -= 1
+            if depth == 0:
+                return i
+    return -1
+
+
+def block_after(code: str, start: int):
+    """(open, end) offsets of the first brace-matched {...} block at or after
+    `start`, end exclusive; None when there is none."""
+    i = code.find("{", start)
+    j = match_brace(code, i) if i >= 0 else -1
+    return (i, j + 1) if j >= 0 else None
+
+
+def line_of(code: str, offset: int) -> int:
+    return code.count("\n", 0, offset) + 1
+
+
+# --- EL rules: token-level checks ---------------------------------------------
+
 def guard_for(relpath: str) -> str:
     return re.sub(r"[^A-Za-z0-9]", "_", relpath).upper() + "_"
 
 
-def check_include_guard(relpath: str, raw: str, violations: list) -> None:
+def check_include_guard(relpath: str, raw: str, code: str, findings: list) -> None:
+    # The #ifndef/#define search runs on stripped text so a trailing comment
+    # does not hide the guard; the #endif check needs the comment itself.
     want = guard_for(relpath)
-    ifndef = re.search(r"^#ifndef\s+(\S+)\s*$", raw, re.M)
+    ifndef = re.search(r"^#ifndef\s+(\S+)\s*$", code, re.M)
     if ifndef is None:
-        violations.append(Violation(relpath, 1, "EL001", f"missing include guard (expected {want})"))
+        findings.append(Finding(relpath, 1, "EL001", f"missing include guard (expected {want})"))
         return
-    line = raw[: ifndef.start()].count("\n") + 1
+    line = line_of(code, ifndef.start())
     if ifndef.group(1) != want:
-        violations.append(
-            Violation(relpath, line, "EL001",
-                      f"include guard {ifndef.group(1)} does not match path (expected {want})"))
+        findings.append(Finding(relpath, line, "EL001",
+                                f"include guard {ifndef.group(1)} does not match path (expected {want})"))
         return
-    if re.search(rf"^#define\s+{re.escape(want)}\s*$", raw, re.M) is None:
-        violations.append(Violation(relpath, line, "EL001", f"#ifndef {want} without matching #define"))
-    endif = re.compile(rf"^#endif\s*//\s*{re.escape(want)}\s*$", re.M)
-    if endif.search(raw) is None:
-        last = raw.count("\n") + 1
-        violations.append(
-            Violation(relpath, last, "EL001", f"closing #endif must carry the guard comment: '#endif  // {want}'"))
+    if re.search(rf"^#define\s+{re.escape(want)}\s*$", code, re.M) is None:
+        findings.append(Finding(relpath, line, "EL001", f"#ifndef {want} without matching #define"))
+    if re.search(rf"^#endif\s*//\s*{re.escape(want)}\s*$", raw, re.M) is None:
+        last = line_of(raw, raw.rstrip().rfind("\n") + 1)
+        findings.append(Finding(relpath, last, "EL001",
+                                f"closing #endif must carry the guard comment: '#endif  // {want}'"))
 
 
-def check_header_hygiene(relpath: str, code: str, violations: list) -> None:
+def check_header_hygiene(relpath: str, code: str, findings: list) -> None:
     for m in re.finditer(r"^\s*#pragma\s+once", code, re.M):
-        violations.append(Violation(relpath, code[: m.start()].count("\n") + 1, "EL002",
-                                    "#pragma once: this tree uses path-derived include guards"))
+        findings.append(Finding(relpath, line_of(code, m.start()), "EL002",
+                                "#pragma once: this tree uses path-derived include guards"))
     for m in re.finditer(r"^\s*using\s+namespace\s+[\w:]+\s*;", code, re.M):
-        violations.append(Violation(relpath, code[: m.start()].count("\n") + 1, "EL002",
-                                    "file-scope 'using namespace' in a header leaks into every includer"))
+        findings.append(Finding(relpath, line_of(code, m.start()), "EL002",
+                                "file-scope 'using namespace' in a header leaks into every includer"))
 
 
 NONDET_PATTERNS = (
@@ -238,7 +289,7 @@ CLOCK_ALIAS_TYPEDEF_RE = re.compile(
     r"\btypedef\s+[^;]*\b(?:system_clock|steady_clock|high_resolution_clock)\b[^;]*?([A-Za-z_]\w*)\s*;")
 
 
-def check_clock_aliases(files: dict, violations: list) -> None:
+def check_clock_aliases(files: dict, findings: list) -> None:
     """EL003 second pass: wall-clock access laundered through a type alias.
 
     The alias declaration itself carries a clock token and is flagged by
@@ -247,7 +298,7 @@ def check_clock_aliases(files: dict, violations: list) -> None:
     tree-wide first and their qualified uses flagged per file.
     """
     aliases = set()
-    for _relpath, code in files.items():
+    for _raw, code in files.values():
         for m in CLOCK_ALIAS_USING_RE.finditer(code):
             aliases.add(m.group(1))
         for m in CLOCK_ALIAS_TYPEDEF_RE.finditer(code):
@@ -255,36 +306,33 @@ def check_clock_aliases(files: dict, violations: list) -> None:
     if not aliases:
         return
     use_re = re.compile(r"\b(" + "|".join(sorted(aliases)) + r")\s*::\s*\w+")
-    for relpath, code in files.items():
+    for relpath, (_raw, code) in files.items():
         if not relpath.startswith("src/") or relpath in NONDET_ALLOWLIST:
             continue
         for m in use_re.finditer(code):
-            violations.append(Violation(relpath, code[: m.start()].count("\n") + 1, "EL003",
-                                        f"'{m.group(1)}' aliases a wall-clock chrono clock; "
-                                        "simulated time comes from EventQueue::now()"))
+            findings.append(Finding(relpath, line_of(code, m.start()), "EL003",
+                                    f"'{m.group(1)}' aliases a wall-clock chrono clock; "
+                                    "simulated time comes from EventQueue::now()"))
 
 
-def check_determinism(relpath: str, code: str, violations: list) -> None:
+def check_determinism(relpath: str, code: str, findings: list) -> None:
     if not relpath.startswith("src/") or relpath in NONDET_ALLOWLIST:
         return
     for pattern, why in NONDET_PATTERNS:
         for m in pattern.finditer(code):
-            violations.append(Violation(relpath, code[: m.start()].count("\n") + 1, "EL003", why))
+            findings.append(Finding(relpath, line_of(code, m.start()), "EL003", why))
     for m in re.finditer(r"\bunordered_(?:map|set|multimap|multiset)\b", code):
-        violations.append(Violation(relpath, code[: m.start()].count("\n") + 1, "EL004",
-                                    "unordered containers have implementation-defined iteration order; "
-                                    "use std::map/std::set (the event queue must stay deterministic)"))
+        findings.append(Finding(relpath, line_of(code, m.start()), "EL004",
+                                "unordered containers have implementation-defined iteration order; "
+                                "use std::map/std::set (the event queue must stay deterministic)"))
 
 
-SMART_WRAP = re.compile(r"(?:unique_ptr|shared_ptr)\s*<[^;]*>?\s*\($")
-
-
-def check_allocation(relpath: str, code: str, violations: list) -> None:
-    if relpath.replace(os.sep, "/") in NAKED_NEW_ALLOWLIST:
+def check_allocation(relpath: str, code: str, findings: list) -> None:
+    if relpath in NAKED_NEW_ALLOWLIST:
         return
     lines = code.split("\n")
     for m in re.finditer(r"\bnew\b(?!\s*\()", code):
-        lineno = code[: m.start()].count("\n") + 1
+        lineno = line_of(code, m.start())
         # A `new` directly inside a smart-pointer constructor is fine; the
         # wrap may start on the same line or the line above (clang-format
         # wraps long constructor calls).
@@ -293,14 +341,13 @@ def check_allocation(relpath: str, code: str, violations: list) -> None:
         if re.search(r"(?:unique_ptr|shared_ptr)\s*<[^\n]*\(\s*new\b", window) or \
            re.search(r"(?:unique_ptr|shared_ptr)\s*<[^\n]*>\s*\(\s*$", "".join(before.split("\n")[-2:])):
             continue
-        violations.append(Violation(relpath, lineno, "EL005",
-                                    "naked `new` outside the kernel allocators; use std::make_unique "
-                                    "or wrap the result in a smart pointer on the same statement"))
+        findings.append(Finding(relpath, lineno, "EL005",
+                                "naked `new` outside the kernel allocators; use std::make_unique "
+                                "or wrap the result in a smart pointer on the same statement"))
     for m in re.finditer(r"\bdelete(?:\[\])?\s+\w", code):
-        lineno = code[: m.start()].count("\n") + 1
-        violations.append(Violation(relpath, lineno, "EL005",
-                                    "naked `delete` outside the kernel allocators; owning smart "
-                                    "pointers release automatically"))
+        findings.append(Finding(relpath, line_of(code, m.start()), "EL005",
+                                "naked `delete` outside the kernel allocators; owning smart "
+                                "pointers release automatically"))
 
 
 TRACK_LISTS_MUTATION = re.compile(
@@ -309,34 +356,27 @@ TRACK_LISTS_MUTATION = re.compile(
 USAGE_MUTATION = re.compile(r"\busage\(\)\s*\.\s*(\w+)\s*(\+=|-=|=)")
 
 
-def check_kernel_only_bookkeeping(relpath: str, code: str, violations: list) -> None:
+def check_kernel_only_bookkeeping(relpath: str, code: str, findings: list) -> None:
     if not relpath.startswith("src/") or relpath.startswith("src/kernel/"):
         return
     for m in USAGE_MUTATION.finditer(code):
-        violations.append(Violation(relpath, code[: m.start()].count("\n") + 1, "EL006",
-                                    f"direct mutation of Owner::usage().{m.group(1)} outside src/kernel; "
-                                    "charge through the Kernel API so the auditor can pair it"))
+        findings.append(Finding(relpath, line_of(code, m.start()), "EL006",
+                                f"direct mutation of Owner::usage().{m.group(1)} outside src/kernel; "
+                                "charge through the Kernel API so the auditor can pair it"))
     for m in TRACK_LISTS_MUTATION.finditer(code):
-        violations.append(Violation(relpath, code[: m.start()].count("\n") + 1, "EL006",
-                                    "direct mutation of an Owner tracking list outside src/kernel; "
-                                    "objects insert/remove themselves via the kernel only"))
+        findings.append(Finding(relpath, line_of(code, m.start()), "EL006",
+                                "direct mutation of an Owner tracking list outside src/kernel; "
+                                "objects insert/remove themselves via the kernel only"))
 
 
 STATIC_KEYWORD = re.compile(r"\bstatic\b")
 
 
-def check_thread_hygiene(relpath: str, code: str, violations: list) -> None:
-    """EL009 — no mutable static state.
-
-    Simulation cells run one-per-worker-thread in the sweep runner; the
-    isolation contract (DESIGN.md) is that a cell touches only its own
-    world plus immutable singletons. Applies to src/ only — tests and
-    benches may use statics freely.
-    """
+def check_thread_hygiene(relpath: str, code: str, findings: list) -> None:
+    """EL009 — no mutable static state in src/ (tests and benches may use
+    statics freely)."""
     if not relpath.startswith("src/"):
         return
-
-    # EL009 — a `static` that is not const/constexpr and not a function.
     for m in STATIC_KEYWORD.finditer(code):
         # `constexpr static int k = ...` — qualifier may precede the keyword.
         line_start = code.rfind("\n", 0, m.start()) + 1
@@ -358,10 +398,11 @@ def check_thread_hygiene(relpath: str, code: str, violations: list) -> None:
         eq = snippet.find("=")
         if paren != -1 and (eq == -1 or paren < eq):
             continue
-        violations.append(Violation(relpath, code[: m.start()].count("\n") + 1, "EL009",
-                                    "mutable static state in simulation code: sweep cells run "
-                                    "concurrently and must share nothing mutable — make it "
-                                    "`static const`/`constexpr`, or move it into per-cell state"))
+        findings.append(Finding(relpath, line_of(code, m.start()), "EL009",
+                                "mutable static state in simulation code: sweep cells run "
+                                "concurrently and must share nothing mutable — make it "
+                                "`static const`/`constexpr`, or move it into per-cell state"))
+
 
 DIAG_PATTERNS = (
     # \b keeps snprintf/sprintf (buffer formatting) out of scope.
@@ -377,177 +418,103 @@ DIAG_PATTERNS = (
 )
 
 
-def check_diagnostics(relpath: str, code: str, violations: list) -> None:
+def check_diagnostics(relpath: str, code: str, findings: list) -> None:
     """EL011 — console output is confined to the Tracer::Diag funnel."""
     if not relpath.startswith("src/") or relpath in DIAG_ALLOWLIST:
         return
     for pattern, why in DIAG_PATTERNS:
         for m in pattern.finditer(code):
-            violations.append(Violation(relpath, code[: m.start()].count("\n") + 1,
-                                        "EL011", why))
+            findings.append(Finding(relpath, line_of(code, m.start()), "EL011", why))
 
 
-SLAB_SLOT_MARKER = re.compile(r"\bESCORT_SLAB_SLOT\b")
-SHARED_PTR_MEMBER = re.compile(r"\b(?:std\s*::\s*)?shared_ptr\s*<")
-
-
-def check_slab_slot_members(relpath: str, raw: str, code: str, violations: list) -> None:
-    """EL013 — no shared_ptr members inside ESCORT_SLAB_SLOT types.
+def marked_bodies(marker: str, raw: str, code: str):
+    """(open, end) body spans of the types marked `marker`.
 
     The marker lives in the doc comment above the class, so it is located
-    in the raw text; the member scan runs over the stripped text (same
-    offsets — stripping is length-preserving) so commented-out members and
-    string literals do not fire.
+    in the raw text; the marked type is the next class/struct definition
+    after it, found in the stripped text (same offsets — stripping is
+    length-preserving) so commented-out members do not count.
     """
-    for marker in SLAB_SLOT_MARKER.finditer(raw):
-        # The marked type is the next class/struct definition after the
-        # marker; its body is the next brace-matched block.
-        decl = re.compile(r"\b(?:class|struct)\s+\w+").search(code, marker.end())
-        if decl is None:
-            continue
-        i = code.find("{", decl.end())
-        if i < 0:
-            continue
-        depth = 0
-        end = len(code)
-        for j in range(i, len(code)):
-            if code[j] == "{":
-                depth += 1
-            elif code[j] == "}":
-                depth -= 1
-                if depth == 0:
-                    end = j + 1
-                    break
-        for m in SHARED_PTR_MEMBER.finditer(code, i, end):
-            violations.append(Violation(relpath, code[: m.start()].count("\n") + 1, "EL013",
-                                        "shared_ptr member in an ESCORT_SLAB_SLOT type: slab slots "
-                                        "are recycled under a generation tag, and shared ownership "
-                                        "keeps the referent alive past Release — store a ConnHandle "
-                                        "(or a plain value) and revalidate at use"))
+    for m in re.finditer(r"\b" + marker + r"\b", raw):
+        decl = re.compile(r"\b(?:class|struct)\s+\w+").search(code, m.end())
+        span = block_after(code, decl.end()) if decl is not None else None
+        if span is not None:
+            yield span
 
 
-DETECT_ACC_MARKER = re.compile(r"\bESCORT_DETECT_ACCUMULATOR\b")
-UNORDERED_CONTAINER = re.compile(r"\b(?:std\s*::\s*)?unordered_(?:map|set|multimap|multiset)\s*<")
+SHARED_PTR_MEMBER = re.compile(r"\b(?:std\s*::\s*)?shared_ptr\s*<")
 FLOAT_MEMBER = re.compile(r"^\s*(?:float|double)\s+\w+", re.MULTILINE)
 
 
-def check_detect_accumulators(relpath: str, raw: str, code: str, violations: list) -> None:
-    """EL014 — detection accumulators use only deterministic state.
-
-    Two scopes: (a) any type marked ESCORT_DETECT_ACCUMULATOR must hold
-    only integer members (no float/double, no unordered containers);
-    (b) the detection module files themselves must not use unordered
-    containers anywhere — the accumulator maps are iterated to produce
-    the decision digest, and hash-seed iteration order would leak the
-    host into the decisions.
-    """
-    if relpath.startswith("src/server/detect."):
-        for m in UNORDERED_CONTAINER.finditer(code):
-            violations.append(Violation(relpath, code[: m.start()].count("\n") + 1, "EL014",
-                                        "unordered container in the detection module: accumulator "
-                                        "iteration feeds the decision digest, and hash-seed order "
-                                        "differs across hosts — use std::map/std::set"))
-    for marker in DETECT_ACC_MARKER.finditer(raw):
-        decl = re.compile(r"\b(?:class|struct)\s+\w+").search(code, marker.end())
-        if decl is None:
-            continue
-        i = code.find("{", decl.end())
-        if i < 0:
-            continue
-        depth = 0
-        end = len(code)
-        for j in range(i, len(code)):
-            if code[j] == "{":
-                depth += 1
-            elif code[j] == "}":
-                depth -= 1
-                if depth == 0:
-                    end = j + 1
-                    break
-        body = code[i:end]
-        for m in FLOAT_MEMBER.finditer(body):
-            violations.append(Violation(relpath, code[: i + m.start()].count("\n") + 1, "EL014",
-                                        "float/double member in an ESCORT_DETECT_ACCUMULATOR type: "
-                                        "float accumulation order leaks scheduling into detection "
-                                        "decisions — keep integer moments (fixed-point / sum + "
-                                        "sum-of-squares) and derive float views at compare time"))
-        for m in UNORDERED_CONTAINER.finditer(body):
-            violations.append(Violation(relpath, code[: i + m.start()].count("\n") + 1, "EL014",
-                                        "unordered container in an ESCORT_DETECT_ACCUMULATOR type: "
-                                        "hash-seed iteration order differs across hosts — use "
-                                        "std::map/std::set"))
+def check_marked_types(relpath: str, raw: str, code: str, findings: list) -> None:
+    """EL013 (slab slots own no shared_ptr) and EL014 (detection
+    accumulators hold no float/double)."""
+    for start, end in marked_bodies("ESCORT_SLAB_SLOT", raw, code):
+        for m in SHARED_PTR_MEMBER.finditer(code, start, end):
+            findings.append(Finding(relpath, line_of(code, m.start()), "EL013",
+                                    "shared_ptr member in an ESCORT_SLAB_SLOT type: slab slots "
+                                    "are recycled under a generation tag, and shared ownership "
+                                    "keeps the referent alive past Release — store a ConnHandle "
+                                    "(or a plain value) and revalidate at use"))
+    for start, end in marked_bodies("ESCORT_DETECT_ACCUMULATOR", raw, code):
+        for m in FLOAT_MEMBER.finditer(code[start:end]):
+            findings.append(Finding(relpath, line_of(code, start + m.start()), "EL014",
+                                    "float/double member in an ESCORT_DETECT_ACCUMULATOR type: "
+                                    "float accumulation order leaks scheduling into detection "
+                                    "decisions — keep integer moments (fixed-point / sum + "
+                                    "sum-of-squares) and derive float views at compare time"))
 
 
-METRIC_REGISTER = re.compile(
-    r"\bRegister(?:Counter|Gauge|Histogram|DeltaSeries)\s*\(")
+METRIC_REGISTER = re.compile(r"\bRegister(?:Counter|Gauge|Histogram|DeltaSeries)\s*\(")
 # The metrics module declares/defines Register* and the macros that wrap
 # them; everything else in src/ must call through the macros.
 METRICS_ALLOWLIST = ("src/sim/metrics.h", "src/sim/metrics.cc")
 
 
-def check_metric_registration(relpath: str, code: str, violations: list) -> None:
-    """EL015 — metric registration goes through the ESCORT_METRIC_* macros.
-
-    A direct Register* call site is invisible to a grep for
-    ESCORT_METRIC_ and tends to skip the null-registry guard (metrics
-    are optional; raw pointers are null when collection is off). Macro
-    call sites contain no Register* token of their own, so the scan is a
-    plain token match over stripped text.
-    """
+def check_metric_registration(relpath: str, code: str, findings: list) -> None:
+    """EL015 — a direct Register* call is invisible to a grep for
+    ESCORT_METRIC_ and tends to skip the null-registry guard. Macro call
+    sites carry no Register* token, so a token match suffices."""
     if not relpath.startswith("src/") or relpath in METRICS_ALLOWLIST:
         return
     for m in METRIC_REGISTER.finditer(code):
-        violations.append(Violation(relpath, code[: m.start()].count("\n") + 1, "EL015",
-                                    "direct MetricsRegistry::Register* call; register through "
-                                    "the ESCORT_METRIC_* macros (src/sim/metrics.h) so every "
-                                    "instrumentation site is greppable and null-registry safe"))
+        findings.append(Finding(relpath, line_of(code, m.start()), "EL015",
+                                "direct MetricsRegistry::Register* call; register through "
+                                "the ESCORT_METRIC_* macros (src/sim/metrics.h) so every "
+                                "instrumentation site is greppable and null-registry safe"))
 
 
-def extract_function_body(code: str, signature_re: str) -> str:
-    """Returns the brace-matched body of the first function whose signature
-    matches `signature_re`, or '' if not found."""
+def body_of(code: str, signature_re: str) -> str:
+    """The brace-matched body of the first definition matching
+    `signature_re`, or ''."""
     m = re.search(signature_re, code)
-    if m is None:
-        return ""
-    i = code.find("{", m.end())
-    if i < 0:
-        return ""
-    depth = 0
-    for j in range(i, len(code)):
-        if code[j] == "{":
-            depth += 1
-        elif code[j] == "}":
-            depth -= 1
-            if depth == 0:
-                return code[i: j + 1]
-    return ""
+    span = block_after(code, m.end()) if m is not None else None
+    return code[span[0]:span[1]] if span is not None else ""
 
 
-def check_pairing_and_completeness(root: str, files: dict, violations: list) -> None:
-    """EL007 (charge/release pairing) + EL008 (reclamation/audit coverage).
-
-    `files` maps relpath -> stripped source text for the scanned tree.
-    """
-    owner_h = files.get("src/kernel/owner.h", "")
-    kernel_cc = files.get("src/kernel/kernel.cc", "")
-    audit_cc = files.get("src/kernel/audit.cc", "")
+def check_pairing_and_completeness(files: dict, findings: list) -> None:
+    """EL007 (charge/release pairing) + EL008 (reclamation/audit coverage)."""
+    owner_h = files.get("src/kernel/owner.h", ("", ""))[1]
+    kernel_cc = files.get("src/kernel/kernel.cc", ("", ""))[1]
+    audit_cc = files.get("src/kernel/audit.cc", ("", ""))[1]
     if not owner_h:
-        return  # not the Escort tree (e.g. a self-test fixture without it)
+        return  # a tree without the kernel
 
     # Discover the Owner tracking lists and ResourceUsage counters.
     lists = [m.group(1).rstrip("_") for m in
              re.finditer(r"std::list<[^>]+>\s+(\w+_)\s*;", owner_h)]
-    usage_body = extract_function_body(owner_h, r"struct\s+ResourceUsage")
+    usage_body = body_of(owner_h, r"struct\s+ResourceUsage")
     counters = [m.group(1) for m in
                 re.finditer(r"(?:uint64_t|Cycles)\s+(\w+)\s*=", usage_body)]
 
     # EL007: each counter must be both charged and released in src/kernel.
-    kernel_sources = {p: t for p, t in files.items() if p.startswith("src/kernel/")}
     charged, released = {}, {}
-    for path, text in kernel_sources.items():
+    for path, (_raw, text) in files.items():
+        if not path.startswith("src/kernel/"):
+            continue
         for m in USAGE_MUTATION.finditer(text):
             counter, op = m.group(1), m.group(2)
-            line = text[: m.start()].count("\n") + 1
+            line = line_of(text, m.start())
             if op == "+=":
                 charged.setdefault(counter, (path, line))
             elif op == "-=" or (op == "=" and re.match(r"=\s*0", text[m.end(2) - 1:])):
@@ -557,318 +524,734 @@ def check_pairing_and_completeness(root: str, files: dict, violations: list) -> 
             continue
         if counter in charged and counter not in released:
             path, line = charged[counter]
-            violations.append(Violation(path, line, "EL007",
-                                        f"usage().{counter} is charged but never released anywhere in "
-                                        "src/kernel (leaked charge)"))
+            findings.append(Finding(path, line, "EL007",
+                                    f"usage().{counter} is charged but never released anywhere in "
+                                    "src/kernel (leaked charge)"))
         if counter in released and counter not in charged:
             path, line = released[counter]
-            violations.append(Violation(path, line, "EL007",
-                                        f"usage().{counter} is released but never charged anywhere in "
-                                        "src/kernel (double release / dead counter)"))
+            findings.append(Finding(path, line, "EL007",
+                                    f"usage().{counter} is released but never charged anywhere in "
+                                    "src/kernel (double release / dead counter)"))
 
     # EL008a: every tracking list must be reclaimed in Kernel::DestroyOwner.
-    destroy_body = extract_function_body(kernel_cc, r"Cycles\s+Kernel::DestroyOwner\s*\(")
+    destroy_body = body_of(kernel_cc, r"Cycles\s+Kernel::DestroyOwner\s*\(")
     if destroy_body:
         for name in lists:
             markers = RECLAIM_MARKERS.get(name, (f"{name}()",))
             if not any(marker in destroy_body for marker in markers):
-                violations.append(Violation("src/kernel/kernel.cc", 1, "EL008",
-                                            f"Owner tracking list '{name}' is not reclaimed in "
-                                            "Kernel::DestroyOwner — a destroyed owner would leak it"))
+                findings.append(Finding("src/kernel/kernel.cc", 1, "EL008",
+                                        f"Owner tracking list '{name}' is not reclaimed in "
+                                        "Kernel::DestroyOwner — a destroyed owner would leak it"))
     # EL008b: every list and counter must be drain-checked by the auditor.
-    drain_body = extract_function_body(audit_cc, r"void\s+Auditor::CheckOwnerDrained\s*\(")
+    drain_body = body_of(audit_cc, r"void\s+Auditor::CheckOwnerDrained\s*\(")
     if drain_body:
         for counter in counters:
             if counter in PAIRING_EXEMPT_COUNTERS:
                 continue
             if not re.search(rf"\b(?:drained|empty)\(\s*{counter}|u\.{counter}\b", drain_body):
-                violations.append(Violation("src/kernel/audit.cc", 1, "EL008",
-                                            f"ResourceUsage::{counter} is not drain-checked in "
-                                            "Auditor::CheckOwnerDrained"))
+                findings.append(Finding("src/kernel/audit.cc", 1, "EL008",
+                                        f"ResourceUsage::{counter} is not drain-checked in "
+                                        "Auditor::CheckOwnerDrained"))
         for name in lists:
             if f'"{name}"' not in drain_body and f".{name}()" not in drain_body:
-                violations.append(Violation("src/kernel/audit.cc", 1, "EL008",
-                                            f"Owner tracking list '{name}' is not drain-checked in "
-                                            "Auditor::CheckOwnerDrained"))
+                findings.append(Finding("src/kernel/audit.cc", 1, "EL008",
+                                        f"Owner tracking list '{name}' is not drain-checked in "
+                                        "Auditor::CheckOwnerDrained"))
 
 
-def lint_tree(root: str) -> list:
-    violations: list = []
-    files: dict = {}
-    for scan_dir in SCAN_DIRS:
-        top = os.path.join(root, scan_dir)
-        if not os.path.isdir(top):
+# --- EA rules: the model of src/ ----------------------------------------------
+
+MARKERS = ("ESCORT_KERNEL_LIFETIME", "ESCORT_DEFERRED_API")
+
+# EA003 acquire -> releases. "Transfer" covers PageAllocator::Transfer; any
+# other escape is recognized structurally.
+CHARGE_PAIRS = {
+    "AllocPage": ("FreePage", "Transfer"),
+    "AllocIoBuffer": ("UnlockIoBuffer",),
+    "LockIoBuffer": ("UnlockIoBuffer",),
+}
+
+CONTROL_KEYWORDS = {
+    "if", "else", "for", "while", "do", "switch", "case", "return", "break",
+    "continue", "goto", "sizeof", "new", "delete", "throw", "catch", "try",
+    "static_assert", "alignas", "alignof", "decltype", "using", "typedef",
+    "namespace", "template", "typename", "public", "private", "protected",
+    "friend", "class", "struct", "enum", "union", "operator", "default",
+}
+
+TYPE_NOT_KEYWORDS = CONTROL_KEYWORDS | {"const", "constexpr", "mutable",
+                                        "static", "inline", "virtual",
+                                        "explicit", "volatile", "register"}
+
+
+class ClassInfo:
+    def __init__(self, name, path, line):
+        self.name = name
+        self.path = path
+        self.line = line
+        self.bases = []          # base class names
+        self.members = {}        # var name -> (type, ptrness)
+        self.span = (0, 0)       # offset span of the body in the file
+
+
+class FuncDef:
+    def __init__(self, path, cls, name, line):
+        self.path = path
+        self.cls = cls           # enclosing/qualifying class name or None
+        self.name = name
+        self.line = line
+        self.params = {}         # name -> (type, ptrness)
+        self.locals = []         # (offset_in_body, name, type, ptrness)
+        self.body = ""           # masked body text (between braces)
+        self.body_off = 0        # file offset of the opening brace + 1
+
+
+class Model:
+    """Type facts the EA rules consume, built from stripped source text."""
+
+    def __init__(self, files: dict, findings: list):
+        self.files = files           # relpath -> (raw, masked), sorted
+        self.classes = {}            # name -> ClassInfo
+        self.functions = []          # FuncDef, definition order
+        self.kernel_lifetime = set()     # class names
+        self.deferred_apis = set()       # method names
+        self.nolint = {}             # (relpath, line) -> set of rules
+        self.findings = findings
+
+    def add(self, path, line, rule, message):
+        self.findings.append(Finding(path, line, rule, message))
+
+    def func_at(self, path, offset):
+        """Innermost function definition containing a file offset."""
+        best = None
+        for f in self.functions:
+            if f.path != path:
+                continue
+            if f.body_off <= offset < f.body_off + len(f.body):
+                if best is None or f.body_off > best.body_off:
+                    best = f
+        return best
+
+    def is_kernel_lifetime(self, type_name):
+        """Transitive through known bases (Path : Owner)."""
+        seen = set()
+        stack = [type_name]
+        while stack:
+            t = stack.pop()
+            if t in seen:
+                continue
+            seen.add(t)
+            if t in self.kernel_lifetime:
+                return True
+            ci = self.classes.get(t)
+            if ci is not None:
+                stack.extend(ci.bases)
+        return False
+
+
+CLASS_RE = re.compile(
+    r"\b(?:class|struct)\s+([A-Za-z_]\w*)\s*(?:final\s*)?(:\s*[^{;]+)?\{")
+
+MEMBER_RE = re.compile(
+    r"^\s*(?:mutable\s+|static\s+|const\s+|constexpr\s+)*"
+    r"((?:std::)?[A-Za-z_][\w:]*(?:<[^;]*>)?)\s*([*&]*)\s*"
+    r"([A-Za-z_]\w*)\s*(?:=[^;]*|\{[^;]*\})?;")
+
+FUNC_RE = re.compile(
+    r"(?:^|[;{}\n])[ \t]*(?:template\s*<[^>]*>\s*)?"
+    r"(?:inline\s+|static\s+|virtual\s+|constexpr\s+|explicit\s+)*"
+    r"(?:[A-Za-z_][\w:<>,*&\s]*?[\s*&])??"
+    r"((?:[A-Za-z_]\w*::)*)([A-Za-z_~]\w*)\s*\(([^;{}()]*(?:\([^()]*\)[^;{}()]*)*)\)\s*"
+    r"(?:const\s*)?(?:noexcept\s*)?(?:override\s*)?(?:final\s*)?(?::[^{;]*?)?\{",
+    re.S)
+
+PARAM_RE = re.compile(
+    r"((?:const\s+)?(?:std::)?[A-Za-z_][\w:]*(?:<[^<>]*(?:<[^<>]*>[^<>]*)*>)?)"
+    r"\s*((?:\s*(?:const|[*&]))*)\s*([A-Za-z_]\w*)\s*(?:=[^,]*)?$")
+
+LOCAL_RE = re.compile(
+    r"^\s*(?:const\s+|constexpr\s+|static\s+)*"
+    r"((?:std::)?[A-Za-z_][\w:]*(?:<[^;=]*>)?)\s*([*&]*)\s*"
+    r"([A-Za-z_]\w*)\s*(?:=[^;]*|\{[^;]*\})?;")
+
+COND_DECL_RE = re.compile(
+    r"\b(?:if|while|for)\s*\(\s*((?:std::)?[A-Za-z_][\w:]*)\s*([*&])\s*"
+    r"([A-Za-z_]\w*)\s*[=:]")
+
+
+def normalize_type(t: str) -> str:
+    t = t.strip()
+    for prefix in ("const ", "std::"):
+        if t.startswith(prefix):
+            t = t[len(prefix):]
+    return t.split("<")[0].strip()
+
+
+def parse_params(args_text: str):
+    """name -> (type, ptrness) from a signature's argument text."""
+    params = {}
+    for part in split_top_level(args_text):
+        m = PARAM_RE.match(part.strip())
+        if m is None:
             continue
-        for dirpath, _dirnames, filenames in os.walk(top):
-            for fname in sorted(filenames):
-                if not fname.endswith(CXX_EXTS):
+        typ, ptr, name = m.groups()
+        base = normalize_type(typ)
+        if base in TYPE_NOT_KEYWORDS:
+            continue
+        params[name] = (base, "*" in (ptr or "") or "&" in (ptr or ""))
+    return params
+
+
+def build_model(model: Model) -> None:
+    for path, (raw, code) in model.files.items():
+        scan_annotations(model, path, raw, code)
+    for path, (_raw, code) in model.files.items():
+        scan_classes(model, path, code)
+    for path, (_raw, code) in model.files.items():
+        scan_functions(model, path, code)
+
+
+def scan_annotations(model, path, raw, code):
+    lines = raw.split("\n")
+    pending = []  # markers awaiting their declaration
+    for idx, line in enumerate(lines):
+        lineno = idx + 1
+        nol = re.search(r"//\s*NOLINT-(EA\d{3})\s*\(([^)]*)\)", line)
+        if nol is not None:
+            rule, reason = nol.group(1), nol.group(2).strip()
+            if not reason:
+                model.add(path, lineno, "EA000", f"NOLINT-{rule} without a reason — say why")
+            target = lineno + 1 if line.strip().startswith("//") else lineno
+            model.nolint.setdefault((path, target), set()).add(rule)
+            model.nolint.setdefault((path, lineno), set()).add(rule)
+        for marker in MARKERS:
+            if re.search(r"//.*\b" + marker + r"\b", line):
+                pending.append(marker)
+        if pending and not line.strip().startswith("//") \
+                and not re.search(r"//.*\bESCORT_\w+", line) \
+                and code.split("\n")[idx].strip():
+            bind_annotation(model, code, idx, pending)
+            pending = []
+
+
+def bind_annotation(model, code, line_idx, pending):
+    """Attach pending markers to the declaration starting at line_idx."""
+    lines = code.split("\n")
+    # Gather continuation lines until we see { ; or ( — enough to name it.
+    probe = lines[line_idx]
+    j = line_idx
+    while "(" not in probe and "{" not in probe and ";" not in probe \
+            and j + 1 < len(lines) and j - line_idx < 4:
+        j += 1
+        probe += " " + lines[j]
+    cm = re.search(r"\b(?:class|struct)\s+([A-Za-z_]\w*)", probe)
+    fm = re.search(r"\b([A-Za-z_~]\w*)\s*\(", probe)
+    for marker in pending:
+        if marker == "ESCORT_KERNEL_LIFETIME":
+            if cm is not None:
+                model.kernel_lifetime.add(cm.group(1))
+        elif fm is not None:  # ESCORT_DEFERRED_API
+            model.deferred_apis.add(fm.group(1))
+
+
+def scan_classes(model, path, code):
+    for m in CLASS_RE.finditer(code):
+        name = m.group(1)
+        brace = code.index("{", m.start())
+        close = match_brace(code, brace)
+        if close < 0:
+            continue
+        ci = model.classes.get(name)
+        if ci is None:
+            ci = ClassInfo(name, path, line_of(code, m.start()))
+            model.classes[name] = ci
+        ci.span = (brace, close)
+        if m.group(2):
+            for b in m.group(2).lstrip(":").split(","):
+                b = re.sub(r"^(public|private|protected|virtual)\s+", "", b.strip())
+                b = b.split("<")[0].strip().split("::")[-1]
+                if b:
+                    ci.bases.append(b)
+        # Members: the depth-0 statements of the class body; an inline
+        # method's signature ends at its `{` and is not a member.
+        depth = 0
+        stmt = ""
+        for c in code[brace + 1:close]:
+            if c == "{":
+                depth += 1
+                stmt = ""
+            elif c == "}":
+                depth -= 1
+                stmt = ""
+            elif depth == 0:
+                stmt += c
+                if c == ";":
+                    stmt = re.sub(r"^\s*(?:public|private|protected)\s*:", "", stmt).strip()
+                    mm = MEMBER_RE.match(stmt)
+                    if mm is not None:
+                        typ = normalize_type(mm.group(1))
+                        if typ not in TYPE_NOT_KEYWORDS:
+                            ci.members[mm.group(3)] = (typ, bool(mm.group(2)))
+                    stmt = ""
+
+
+def scan_functions(model, path, code):
+    for m in FUNC_RE.finditer(code):
+        qual, name, args = m.group(1), m.group(2), m.group(3)
+        if name in CONTROL_KEYWORDS:
+            continue
+        brace = m.end() - 1
+        close = match_brace(code, brace)
+        if close < 0:
+            continue
+        cls = qual.rstrip(":").split("::")[-1] if qual else None
+        if cls is None:
+            # Inline method? attach the innermost class whose span covers us.
+            for ci in model.classes.values():
+                if ci.path != path:
                     continue
-                path = os.path.join(dirpath, fname)
-                relpath = os.path.relpath(path, root).replace(os.sep, "/")
-                with open(path, encoding="utf-8", errors="replace") as f:
-                    raw = f.read()
-                code = strip_comments_and_strings(raw)
-                files[relpath] = code
-                if fname.endswith((".h", ".hh", ".hpp")):
-                    check_include_guard(relpath, raw, violations)
-                    check_header_hygiene(relpath, code, violations)
-                check_determinism(relpath, code, violations)
-                check_allocation(relpath, code, violations)
-                check_kernel_only_bookkeeping(relpath, code, violations)
-                check_thread_hygiene(relpath, code, violations)
-                check_diagnostics(relpath, code, violations)
-                check_slab_slot_members(relpath, raw, code, violations)
-                check_detect_accumulators(relpath, raw, code, violations)
-                check_metric_registration(relpath, code, violations)
-    check_clock_aliases(files, violations)
-    check_pairing_and_completeness(root, files, violations)
-    violations.sort(key=lambda v: (v.path, v.line, v.rule))
-    return violations
+                lo, hi = ci.span
+                if lo < m.start() < hi:
+                    if cls is None or lo > model.classes[cls].span[0]:
+                        cls = ci.name
+        f = FuncDef(path, cls, name, line_of(code, m.start(2)))
+        f.params = parse_params(args)
+        f.body = code[brace + 1:close]
+        f.body_off = brace + 1
+        scan_locals(f)
+        model.functions.append(f)
 
 
-# --- self-test ---------------------------------------------------------------
+def scan_locals(f):
+    offset = 0
+    for stmt_line in f.body.split("\n"):
+        m = LOCAL_RE.match(stmt_line)
+        if m is not None:
+            typ = normalize_type(m.group(1))
+            if typ not in TYPE_NOT_KEYWORDS:
+                f.locals.append((offset, m.group(3), typ, bool(m.group(2))))
+        for cm in COND_DECL_RE.finditer(stmt_line):
+            typ = normalize_type(cm.group(1))
+            if typ not in TYPE_NOT_KEYWORDS:
+                f.locals.append((offset, cm.group(3), typ, True))
+        offset += len(stmt_line) + 1
 
-SELF_TEST_CASES = [
-    ("EL001", "src/bad_guard.h", "#ifndef WRONG_GUARD_H_\n#define WRONG_GUARD_H_\n#endif\n"),
-    ("EL002", "src/using_ns.h",
-     "#ifndef SRC_USING_NS_H_\n#define SRC_USING_NS_H_\nusing namespace std;\n"
-     "#endif  // SRC_USING_NS_H_\n"),
-    ("EL003", "src/nondet.cc", "int jitter() { return rand() % 7; }\n"),
-    ("EL003", "src/wallclock.cc", "long t() { return time(nullptr); }\n"),
-    ("EL003", "src/alias_clock.cc",
-     "#include <chrono>\nusing Clock = std::chrono::steady_clock;\n"
-     "long t() { return Clock::now().time_since_epoch().count(); }\n"),
-    ("EL003", "src/typedef_clock.cc",
-     "#include <chrono>\ntypedef std::chrono::high_resolution_clock HrClock;\n"
-     "long t() { return HrClock::now().time_since_epoch().count(); }\n"),
-    ("EL004", "src/unordered.cc",
-     "#include <unordered_map>\nstd::unordered_map<int, int> table;\n"),
-    ("EL005", "src/naked_new.cc", "int* leak() { return new int(7); }\n"),
-    ("EL005", "src/naked_delete.cc", "void drop(int* p) { delete p; }\n"),
-    ("EL006", "src/path/rogue_charge.cc",
-     "void f(Owner* o) { o->usage().pages += 1; }\n"),
-    ("EL006", "src/path/rogue_list.cc",
-     "void f(Owner* o, Thread* t) { o->threads().push_front(t); }\n"),
-    ("EL009", "src/sneaky_static.cc",
-     "int Counter() {\n  static int calls = 0;\n  return ++calls;\n}\n"),
-    ("EL009", "src/global_table.cc",
-     "#include <vector>\nstatic std::vector<int> g_shared_results;\n"),
-    ("EL011", "src/chatty_printf.cc",
-     "#include <cstdio>\nvoid Report(int n) { printf(\"%d\\n\", n); }\n"),
-    ("EL011", "src/chatty_cout.cc",
-     "#include <iostream>\nvoid Report(int n) { std::cout << n; }\n"),
-    ("EL011", "src/chatty_stderr.cc",
-     "#include <cstdio>\nvoid Warn(const char* m) { fputs(m, stderr); }\n"),
-    ("EL013", "src/slab_shared_ptr.cc",
-     "#include <memory>\n"
-     "// ESCORT_SLAB_SLOT: stored by value in a Slab<Conn>.\n"
-     "struct Conn {\n"
-     "  int fd = -1;\n"
-     "  std::shared_ptr<int> token;\n"
-     "};\n"),
-    ("EL013", "src/slab_shared_ptr_class.cc",
-     "#include <memory>\n"
-     "// ESCORT_SLAB_SLOT\n"
-     "class Peer {\n"
-     " private:\n"
-     "  std::shared_ptr<Peer> parent_;\n"
-     "};\n"),
-    ("EL014", "src/server/detect.cc",
-     "#include <unordered_map>\n"
-     "std::unordered_map<unsigned, long> subnets;\n"),
-    ("EL014", "src/acc_float.cc",
-     "// ESCORT_DETECT_ACCUMULATOR\n"
-     "struct SprtState {\n"
-     "  double llr = 0.0;\n"
-     "};\n"),
-    ("EL014", "src/acc_unordered.cc",
-     "#include <unordered_set>\n"
-     "// ESCORT_DETECT_ACCUMULATOR\n"
-     "struct ClassStats {\n"
-     "  std::unordered_set<int> seen;\n"
-     "};\n"),
-    ("EL015", "src/server/rogue_metric.cc",
-     "#include \"src/sim/metrics.h\"\n"
-     "void Wire(MetricsRegistry* m) {\n"
-     "  auto* drops = m->RegisterCounter(\"net.drops\", \"dropped SYNs\");\n"
-     "  (void)drops;\n"
-     "}\n"),
-    ("EL015", "src/server/rogue_delta.cc",
-     "#include \"src/sim/metrics.h\"\n"
-     "void Wire(MetricsRegistry* m) {\n"
-     "  m->RegisterDeltaSeries(\"sim.timers\", \"armed timers\");\n"
-     "}\n"),
-]
 
-SELF_TEST_CLEAN = [
-    ("src/clean.h",
-     "#ifndef SRC_CLEAN_H_\n#define SRC_CLEAN_H_\nint f();\n#endif  // SRC_CLEAN_H_\n"),
-    ("src/clean.cc",
-     "#include <memory>\n"
-     "// rand() in a comment is fine, as is \"new\" in a string.\n"
-     "const char* s = \"new int\";\n"
-     "auto p = std::make_unique<int>(3);\n"
-     "auto q = std::unique_ptr<int>(new int(4));\n"),
-    # EL009 negative space: const/constexpr statics, static member
-    # functions (with default arguments), and static_cast must all pass.
-    ("src/clean_statics.cc",
-     "#include <string>\n"
-     "const std::string& Name() {\n"
-     "  static const std::string kName = \"escort\";\n"
-     "  return kName;\n"
-     "}\n"
-     "struct Calib {\n"
-     "  static constexpr int kScale = 7;\n"
-     "  static Calib Make(int base = 3);\n"
-     "  constexpr static int kOther = 9;\n"
-     "};\n"
-     "static int Twice(int v) { return static_cast<int>(v) * 2; }\n"),
-    # EL014 negative space: integer-only marked accumulators pass, as do
-    # ordered containers and compare-time float locals in the detection
-    # module.
-    ("src/server/detect.cc",
-     "#include <cstdint>\n"
-     "#include <map>\n"
-     "// ESCORT_DETECT_ACCUMULATOR\n"
-     "struct SprtState {\n"
-     "  int64_t llr = 0;\n"
-     "  uint64_t observations = 0;\n"
-     "};\n"
-     "std::map<unsigned, SprtState> subnets;\n"
-     "bool Exceeds(uint64_t sum, uint64_t n, uint64_t value) {\n"
-     "  double mean = static_cast<double>(sum) / static_cast<double>(n);\n"
-     "  return static_cast<double>(value) > mean;\n"
-     "}\n"),
-    # EL011 negative space: the funnel itself may hit stderr, buffer
-    # formatting (snprintf) is allowed everywhere, and identifiers that
-    # merely contain "stdout" must not match.
-    ("src/sim/trace.cc",
-     "#include <cstdio>\n"
-     "void Diag(const char* t) { std::fwrite(t, 1, 1, stderr); std::fflush(stderr); }\n"),
-    ("src/format_ok.cc",
-     "#include <cstdio>\n"
-     "void Format(char* buf) { snprintf(buf, 8, \"%d\", 3); }\n"
-     "void set_echo_to_stdout(bool on);\n"),
-    # EL013 negative space: unique_ptr and plain members in a marked slot
-    # are fine; a shared_ptr in an UNmarked type is out of scope; a
-    # shared_ptr mentioned only in the marked type's comments must not
-    # fire (the member scan runs over stripped text).
-    ("src/slab_slot_ok.cc",
-     "#include <memory>\n"
-     "// ESCORT_SLAB_SLOT: flyweight slot.\n"
-     "struct Conn {\n"
-     "  // Why not shared_ptr: the slab recycles this storage.\n"
-     "  std::unique_ptr<int> scratch;\n"
-     "  int fd = -1;\n"
-     "};\n"
-     "struct FreeRoaming {\n"
-     "  std::shared_ptr<int> token;  // not a slab slot: allowed\n"
-     "};\n"),
-    # EL015 negative space: macro call sites in src/ pass (no Register*
-    # token of their own), and tests may drive the registry directly.
-    ("src/server/metric_macro_ok.cc",
-     "#include \"src/sim/metrics.h\"\n"
-     "void Wire(MetricsRegistry* m) {\n"
-     "  auto* drops = ESCORT_METRIC_COUNTER(m, \"net.drops\", \"dropped SYNs\");\n"
-     "  auto* depth = ESCORT_METRIC_DELTA(m, \"sim.timers\", \"armed\");\n"
-     "  (void)drops;\n"
-     "  (void)depth;\n"
-     "}\n"),
-    ("tests/test_registry_direct.cc",
-     "#include \"src/sim/metrics.h\"\n"
-     "void Probe(MetricsRegistry* m) {\n"
-     "  m->RegisterGauge(\"x\", \"direct registration in a test is fine\");\n"
-     "}\n"),
-]
+def resolve_var(model, func, name, at_offset=None):
+    """(type, is_ptr) for `name` visible in `func` at body offset, or None."""
+    if func is None:
+        return None
+    best = None
+    for off, n, typ, ptr in func.locals:
+        if n != name:
+            continue
+        if at_offset is not None and off > at_offset:
+            continue
+        if best is None or off >= best[0]:
+            best = (off, typ, ptr)
+    if best is not None:
+        return (best[1], best[2])
+    if name in func.params:
+        return func.params[name]
+    cls = func.cls
+    seen = set()
+    while cls and cls not in seen:
+        seen.add(cls)
+        ci = model.classes.get(cls)
+        if ci is None:
+            break
+        if name in ci.members:
+            return ci.members[name]
+        cls = ci.bases[0] if ci.bases else None
+    return None
 
-# EL007/EL008 fixture: a counter charged but never released, a tracking
-# list neither reclaimed nor audited.
-SELF_TEST_KERNEL_FIXTURE = [
-    ("src/kernel/owner.h",
-     "#ifndef SRC_KERNEL_OWNER_H_\n#define SRC_KERNEL_OWNER_H_\n"
-     "#include <list>\n"
-     "struct ResourceUsage {\n  uint64_t widgets = 0;\n  uint64_t cycles = 0;\n};\n"
-     "class Owner {\n  std::list<int*> widgets_;\n};\n"
-     "#endif  // SRC_KERNEL_OWNER_H_\n"),
-    ("src/kernel/kernel.cc",
-     "#include \"src/kernel/owner.h\"\n"
-     "void ChargeWidget(Owner* o) { o->usage().widgets += 1; }\n"
-     "Cycles Kernel::DestroyOwner(Owner* owner, int pd_count) {\n  return 0;\n}\n"),
-    ("src/kernel/audit.cc",
-     "#include \"src/kernel/owner.h\"\n"
-     "void Auditor::CheckOwnerDrained(const Owner& owner) {\n}\n"),
-]
+
+# --- EA001: deferred-capture safety --------------------------------------------
+
+def split_top_level(text, sep=","):
+    parts, depth, cur, prev = [], 0, "", ""
+    for c in text:
+        if c in "([{<":
+            depth += 1
+        elif c == ">" and prev == "-":
+            pass  # `->` is not a closing angle bracket
+        elif c in ")]}>":
+            depth -= 1
+        prev = c
+        if c == sep and depth == 0:
+            parts.append(cur)
+            cur = ""
+        else:
+            cur += c
+    parts.append(cur)
+    return parts
+
+
+def find_lambdas_in_args(code, open_paren):
+    """Offsets of '[' starting lambda literals that are arguments of the
+    call whose '(' is at open_paren. A lambda inside this argument list at
+    any paren depth still belongs to a callable being built for this call,
+    so every argument-position '[' in the span is returned."""
+    close = match_brace(code, open_paren, "(", ")")
+    if close < 0:
+        return []
+    out = []
+    i = open_paren + 1
+    while i < close:
+        if code[i] == "[":
+            j = i - 1
+            while j > open_paren and code[j].isspace():
+                j -= 1
+            if code[j] in "(,":
+                out.append(i)
+            # skip the capture list either way (avoid [] inside it)
+            end = match_brace(code, i, "[", "]")
+            i = (end if end > 0 else i) + 1
+            continue
+        i += 1
+    return out
+
+
+def check_ea001(model):
+    if not model.deferred_apis:
+        return
+    call_re = re.compile(r"\b(" + "|".join(sorted(model.deferred_apis)) + r")\s*\(")
+    for path, (_raw, code) in model.files.items():
+        for cm in call_re.finditer(code):
+            api = cm.group(1)
+            for lb in find_lambdas_in_args(code, cm.end() - 1):
+                rb = match_brace(code, lb, "[", "]")
+                if rb < 0:
+                    continue
+                func = model.func_at(path, lb)
+                for cap in split_top_level(code[lb + 1:rb]):
+                    cap = cap.strip()
+                    if not cap:
+                        continue
+                    bad = classify_capture(model, func, cap, lb)
+                    if bad is not None:
+                        model.add(path, line_of(code, lb), "EA001",
+                                  f"deferred closure passed to {api}() {bad}; "
+                                  "capture a value key (owner id / ConnKey / "
+                                  "index) and revalidate at fire time")
+
+
+def classify_capture(model, func, cap, at_offset):
+    """Reason string if the capture violates EA001, else None."""
+    if cap in ("=", "&"):
+        return f"uses capture-default [{cap}] (explicit captures required)"
+    if cap in ("this", "*this"):
+        cls = func.cls if func is not None else None
+        if cls is not None and model.is_kernel_lifetime(cls):
+            return f"captures `this` of kernel-lifetime class {cls}"
+        return None
+    body_offset = at_offset - (func.body_off if func else 0)
+    m = re.match(r"^&\s*([A-Za-z_]\w*)$", cap)
+    if m is not None:
+        name = m.group(1)
+        fact = resolve_var(model, func, name, body_offset)
+        if fact is not None and model.is_kernel_lifetime(fact[0]):
+            return f"captures `&{name}` referencing kernel-lifetime {fact[0]}"
+        return None
+    m = re.match(r"^([A-Za-z_]\w*)\s*=\s*(.+)$", cap, re.S)
+    if m is not None:
+        im = re.match(r"^(?:std::move\(\s*)?([A-Za-z_]\w*)\s*\)?$", m.group(2).strip())
+        if im is None:
+            return None  # computed initializer (ids, keys) — fine
+        name = im.group(1)
+    else:
+        if not re.match(r"^[A-Za-z_]\w*$", cap):
+            return None
+        name = cap
+    fact = resolve_var(model, func, name, body_offset)
+    if fact is not None and fact[1] and model.is_kernel_lifetime(fact[0]):
+        return f"captures raw `{fact[0]}*` `{name}`"
+    return None
+
+
+# --- EA003: charge/release flow pairing ----------------------------------------
+
+class Stmt:
+    def __init__(self, kind, text, line, then=None, els=None):
+        self.kind = kind      # plain | if | loop | block
+        self.text = text      # statement or control-header text
+        self.line = line
+        self.then = then or []
+        self.els = els
+
+
+def parse_stmts(code, body, body_off):
+    """Flat-ish statement tree for one function body. Splits only at paren
+    depth 0, so for(;;) headers and lambda-literal arguments stay inside one
+    statement."""
+    stmts = []
+    i, n = 0, len(body)
+    start = 0
+    pdepth = 0
+    while i < n:
+        c = body[i]
+        if c == "(":
+            pdepth += 1
+        elif c == ")":
+            pdepth = max(0, pdepth - 1)
+        elif pdepth > 0:
+            pass
+        elif c == ";":
+            seg = body[start:i]
+            text = seg.strip()
+            if text:
+                lead = len(seg) - len(seg.lstrip())
+                stmts.append(Stmt("plain", text, line_of(code, body_off + start + lead)))
+            start = i + 1
+        elif c == "{":
+            seg = body[start:i]
+            header = seg.strip()
+            close = match_brace(body, i)
+            if close < 0:
+                break
+            inner = parse_stmts(code, body[i + 1:close], body_off + i + 1)
+            hline = line_of(code, body_off + start + len(seg) - len(seg.lstrip()))
+            if re.match(r"^(else\s+if|if)\b", header):
+                stmts.append(Stmt("if", header, hline, then=inner))
+            elif re.match(r"^(for|while|do|switch)\b", header):
+                stmts.append(Stmt("loop", header, hline, then=inner))
+            elif header.startswith("else") and stmts and stmts[-1].kind == "if":
+                stmts[-1].els = inner
+            else:
+                stmts.append(Stmt("block", header, hline, then=inner))
+            i = close
+            start = i + 1
+        i += 1
+    seg = body[start:]
+    tail = seg.strip()
+    if tail:
+        stmts.append(Stmt("plain", tail,
+                          line_of(code, body_off + start + len(seg) - len(seg.lstrip()))))
+    return stmts
+
+
+def stmt_guard(text, handle):
+    """'null' / 'nonnull' if the if-header tests the handle, else None."""
+    if re.search(r"\b" + handle + r"\s*==\s*nullptr", text) or \
+            re.search(r"!\s*" + handle + r"\b", text):
+        return "null"
+    if re.search(r"\b" + handle + r"\s*!=\s*nullptr", text) or \
+            re.search(r"\(\s*" + handle + r"\s*\)", text):
+        return "nonnull"
+    return None
+
+
+def stmt_discharges(text, handle, releases):
+    """True if the statement releases or transfers the handle."""
+    for rel in releases:
+        if re.search(r"\b" + rel + r"\s*\([^;]*\b" + handle + r"\b", text):
+            return True
+    if re.search(r"\breturn\s+(?:std::move\(\s*)?" + handle + r"\b", text):
+        return True
+    if re.search(r"\bstd::move\(\s*" + handle + r"\s*\)", text):
+        return True
+    # Stored: assigned into a field/container/deref (escapes the function).
+    if re.search(r"[\w\])\]]\s*(?:\[[^\]]*\]\s*)?=\s*" + handle + r"\s*(?:[;,)]|$)", text):
+        return True
+    # Passed to any call as an argument (ownership handed over).
+    if re.search(r"\w\s*\([^;]*[(,]\s*" + handle + r"\s*[,)]", text) or \
+            re.search(r"\w\s*\(\s*" + handle + r"\s*[,)]", text):
+        return True
+    return False
+
+
+def exits_without(seq, handle, releases):
+    """Line number of an exit path that drops the handle, 0 for the function
+    end, or None. `seq` is every statement that may run after the charge."""
+    if not seq:
+        return 0  # fell off the end of the function holding the handle
+    s, rest = seq[0], seq[1:]
+    if s.kind == "plain":
+        if stmt_discharges(s.text, handle, releases):
+            return None
+        if re.match(r"^return\b", s.text):
+            return s.line
+        return exits_without(rest, handle, releases)
+    if s.kind == "if":
+        guard = stmt_guard(s.text, handle)
+        if guard == "null":
+            # Then-branch runs with no resource; else/fallthrough holds it.
+            return exits_without((s.els or []) + rest, handle, releases)
+        if guard == "nonnull":
+            # Else/fallthrough is the null case — exempt.
+            return exits_without(s.then + rest, handle, releases)
+        leak = exits_without(s.then + rest, handle, releases)
+        if leak is not None:
+            return leak
+        return exits_without((s.els or []) + rest, handle, releases)
+    if s.kind == "loop":
+        # Zero-iteration path first; then one pass through the body.
+        leak = exits_without(rest, handle, releases)
+        if leak is not None and not any(
+                stmt_discharges(t.text, handle, releases) for t in s.then):
+            return leak
+    return exits_without(s.then + rest, handle, releases)
+
+
+def check_ea003(model):
+    charge_re = re.compile(
+        r"(?:([A-Za-z_]\w*)\s*=\s*[^;=]*?)?\b(" +
+        "|".join(CHARGE_PAIRS) + r")\s*\(\s*([^,();]*)")
+
+    def flatten(seq, trail):
+        for idx, s in enumerate(seq):
+            yield (s, seq[idx + 1:], trail)
+            if s.kind in ("if", "loop", "block"):
+                yield from flatten(s.then, seq[idx + 1:] + trail)
+                if s.els:
+                    yield from flatten(s.els, seq[idx + 1:] + trail)
+
+    for f in model.functions:
+        code = model.files[f.path][1]
+        for s, rest, trail in flatten(parse_stmts(code, f.body, f.body_off), []):
+            if s.kind != "plain":
+                continue
+            for m in charge_re.finditer(s.text):
+                assigned, api, first_arg = m.group(1), m.group(2), m.group(3)
+                if api == "LockIoBuffer":
+                    handle = first_arg.strip()
+                    if not re.match(r"^[A-Za-z_]\w*$", handle):
+                        continue  # locking a field-held buffer: retained state
+                else:
+                    if assigned is None:
+                        continue  # result unused — the decl site, not a call
+                    handle = assigned
+                if f.name == api:
+                    continue  # the kernel wrapper itself
+                releases = CHARGE_PAIRS[api]
+                leak = exits_without(rest + trail, handle, releases)
+                if stmt_discharges(s.text[m.end():], handle, releases):
+                    leak = None
+                if leak is not None:
+                    where = f"line {leak}" if leak else "function end"
+                    model.add(f.path, s.line, "EA003",
+                              f"{api}() handle `{handle}` not released "
+                              f"({'/'.join(releases)}) or transferred on the "
+                              f"exit path reaching {where}")
+
+
+# --- EA005: pointer-keyed iteration --------------------------------------------
+
+CONTAINER_DECL_RE = re.compile(
+    r"\bstd::(map|set|multimap|multiset)\s*<([^;{}()=]*)>\s*([A-Za-z_]\w*)")
+RANGE_FOR_RE = re.compile(r"\bfor\s*\(\s*[^:;()]*:\s*([A-Za-z_]\w*(?:\(\))?)\s*\)")
+
+
+def check_ea005(model):
+    containers = {}  # (path, name) -> (kind, pointer-keyed?)
+    for path, (_raw, code) in model.files.items():
+        for m in CONTAINER_DECL_RE.finditer(code):
+            kind, args, name = m.groups()
+            containers[(path, name)] = (kind, split_top_level(args)[0].strip().endswith("*"))
+
+    def lookup(path, name):
+        hit = containers.get((path, name))
+        if hit is not None:
+            return hit
+        # Member declared in a header: search every indexed file.
+        return next((v for (_p, n), v in containers.items() if n == name), None)
+
+    for f in model.functions:
+        code = model.files[f.path][1]
+        for m in RANGE_FOR_RE.finditer(f.body):
+            base = m.group(1).replace("()", "")
+            info = lookup(f.path, base)
+            if info is not None and info[1]:
+                model.add(f.path, line_of(code, f.body_off + m.start()), "EA005",
+                          f"iteration over pointer-keyed std::{info[0]} `{base}` "
+                          "— order follows the allocator, not the program; "
+                          "key by owner id instead")
+        # The while (!m.empty()) Kill(m.begin()->first) teardown pattern.
+        for m in re.finditer(r"\b([A-Za-z_]\w*)\s*\.\s*begin\s*\(\)", f.body):
+            info = lookup(f.path, m.group(1))
+            if info is not None and info[1]:
+                model.add(f.path, line_of(code, f.body_off + m.start()), "EA005",
+                          f"begin() on pointer-keyed std::{info[0]} "
+                          f"`{m.group(1)}` selects by address order")
+
+
+# --- Tree walk and entry points ----------------------------------------------
+
+def read_tree(root: str) -> dict:
+    """relpath -> (raw, stripped) for every C++ file under SCAN_DIRS, sorted."""
+    paths = []
+    for scan_dir in SCAN_DIRS:
+        for dirpath, _dirnames, filenames in os.walk(os.path.join(root, scan_dir)):
+            paths += [os.path.join(dirpath, f) for f in filenames if f.endswith(CXX_EXTS)]
+    files = {}
+    for path in sorted(paths, key=lambda p: os.path.relpath(p, root)):
+        with open(path, encoding="utf-8", errors="replace") as f:
+            raw = f.read()
+        files[os.path.relpath(path, root).replace(os.sep, "/")] = \
+            (raw, strip_comments_and_strings(raw))
+    return files
+
+
+def check_files(files: dict):
+    """(findings, suppressed): unsuppressed findings sorted by location,
+    and the number of findings a NOLINT-EA00x comment suppressed."""
+    findings: list = []
+    for relpath, (raw, code) in files.items():
+        if relpath.endswith((".h", ".hh", ".hpp")):
+            check_include_guard(relpath, raw, code, findings)
+            check_header_hygiene(relpath, code, findings)
+        check_determinism(relpath, code, findings)
+        check_allocation(relpath, code, findings)
+        check_kernel_only_bookkeeping(relpath, code, findings)
+        check_thread_hygiene(relpath, code, findings)
+        check_diagnostics(relpath, code, findings)
+        check_marked_types(relpath, raw, code, findings)
+        check_metric_registration(relpath, code, findings)
+    check_clock_aliases(files, findings)
+    check_pairing_and_completeness(files, findings)
+
+    model = Model({p: t for p, t in files.items()
+                   if p.startswith("src/") and p.endswith(MODEL_EXTS)}, findings)
+    build_model(model)
+    check_ea001(model)
+    check_ea003(model)
+    check_ea005(model)
+
+    # Several detectors can anchor the same line: dedup, then suppress.
+    unique = {(f.path, f.line, f.rule, f.message): f for f in findings}.values()
+    active = [f for f in unique if f.rule not in model.nolint.get((f.path, f.line), ())]
+    active.sort(key=lambda f: (f.path, f.line, f.rule, f.message))
+    return active, len(unique) - len(active)
+
+
+def expected_findings(files: dict) -> set:
+    """(relpath, line, rule) for every `// EXPECT: RULE` marker."""
+    expected = set()
+    for relpath, (raw, _code) in files.items():
+        for lineno, line in enumerate(raw.split("\n"), start=1):
+            m = EXPECT_RE.search(line)
+            if m is not None:
+                expected |= {(relpath, lineno, rule) for rule in m.group(1).split()}
+    return expected
 
 
 def run_self_test() -> int:
-    failures = []
-
-    def expect(rule: str, produced: list, context: str) -> None:
-        if not any(v.rule == rule for v in produced):
-            got = ", ".join(sorted({v.rule for v in produced})) or "none"
-            failures.append(f"{context}: expected {rule}, got [{got}]")
-
-    with tempfile.TemporaryDirectory(prefix="escort_lint_selftest_") as tmp:
-        for rule, relpath, content in SELF_TEST_CASES:
-            case_root = os.path.join(tmp, rule + "_" + os.path.basename(relpath))
-            full = os.path.join(case_root, relpath)
-            os.makedirs(os.path.dirname(full), exist_ok=True)
-            with open(full, "w", encoding="utf-8") as f:
-                f.write(content)
-            expect(rule, lint_tree(case_root), relpath)
-
-        clean_root = os.path.join(tmp, "clean")
-        for relpath, content in SELF_TEST_CLEAN:
-            full = os.path.join(clean_root, relpath)
-            os.makedirs(os.path.dirname(full), exist_ok=True)
-            with open(full, "w", encoding="utf-8") as f:
-                f.write(content)
-        clean = lint_tree(clean_root)
-        if clean:
-            failures.append("clean fixture produced violations: " +
-                            "; ".join(str(v) for v in clean))
-
-        # Cross-file alias laundering: the decl is in a header, the use in a
-        # .cc with no clock token of its own — only the tree-wide alias pass
-        # can flag the use site.
-        alias_root = os.path.join(tmp, "clock_alias_fixture")
-        alias_fixture = [
-            ("src/sim_tick.h",
-             "#ifndef SRC_SIM_TICK_H_\n#define SRC_SIM_TICK_H_\n"
-             "#include <chrono>\n"
-             "using SimTick = std::chrono::steady_clock;\n"
-             "#endif  // SRC_SIM_TICK_H_\n"),
-            ("src/sim_tick_use.cc",
-             "#include \"src/sim_tick.h\"\n"
-             "long Stamp() { return SimTick::now().time_since_epoch().count(); }\n"),
-        ]
-        for relpath, content in alias_fixture:
-            full = os.path.join(alias_root, relpath)
-            os.makedirs(os.path.dirname(full), exist_ok=True)
-            with open(full, "w", encoding="utf-8") as f:
-                f.write(content)
-        produced = lint_tree(alias_root)
-        expect("EL003", produced, "clock-alias fixture")
-        if not any(v.rule == "EL003" and v.path == "src/sim_tick_use.cc" for v in produced):
-            failures.append("clock-alias fixture: cross-file use site "
-                            "src/sim_tick_use.cc not flagged by EL003")
-
-        fixture_root = os.path.join(tmp, "kernel_fixture")
-        for relpath, content in SELF_TEST_KERNEL_FIXTURE:
-            full = os.path.join(fixture_root, relpath)
-            os.makedirs(os.path.dirname(full), exist_ok=True)
-            with open(full, "w", encoding="utf-8") as f:
-                f.write(content)
-        produced = lint_tree(fixture_root)
-        expect("EL007", produced, "kernel fixture (widgets charged, never released)")
-        expect("EL008", produced, "kernel fixture (widgets list unreclaimed/unaudited)")
-
-    if failures:
-        for failure in failures:
-            print("self-test FAIL:", failure, file=sys.stderr)
-        return 1
-    print("escort_lint self-test: all rules fire on seeded violations; clean fixture passes")
-    return 0
+    files = read_tree(FIXTURES)
+    expected = expected_findings(files)
+    findings, _ = check_files(files)
+    got = {f.key() for f in findings}
+    for path, line, rule in sorted(expected - got):
+        print(f"self-test MISSING  {path}:{line}: expected {rule}, not reported")
+    for f in findings:
+        if f.key() not in expected:
+            print(f"self-test SPURIOUS {f}")
+    uncovered = sorted(set(RULES) - {rule for _, _, rule in expected})
+    for rule in uncovered:
+        print(f"self-test UNCOVERED {rule}: no fixture expects it")
+    ok = expected == got and not uncovered
+    print(f"escort_lint self-test: {'PASS' if ok else 'FAIL'} "
+          f"({len(expected)} expected findings, {len(got)} produced, {len(RULES)} rules)")
+    return 0 if ok else 1
 
 
 def main() -> int:
@@ -877,7 +1260,7 @@ def main() -> int:
     parser.add_argument("--root", default=None,
                         help="repository root (default: two levels above this script)")
     parser.add_argument("--self-test", action="store_true",
-                        help="verify every rule fires on seeded violations, then exit")
+                        help="check the fixtures against their EXPECT markers, then exit")
     parser.add_argument("-q", "--quiet", action="store_true", help="suppress the summary line")
     args = parser.parse_args()
 
@@ -890,15 +1273,13 @@ def main() -> int:
         print(f"escort_lint: {root} contains none of {'/'.join(SCAN_DIRS)} — "
               "wrong --root? refusing to report a vacuously clean tree", file=sys.stderr)
         return 2
-    violations = lint_tree(root)
-    for v in violations:
-        print(v)
-    if violations:
-        print(f"escort_lint: {len(violations)} violation(s)", file=sys.stderr)
-        return 1
+    files = read_tree(root)
+    findings, suppressed = check_files(files)
+    for f in findings:
+        print(f)
     if not args.quiet:
-        print("escort_lint: clean")
-    return 0
+        print(f"escort_lint: files={len(files)} findings={len(findings)} suppressed={suppressed}")
+    return 1 if findings else 0
 
 
 if __name__ == "__main__":

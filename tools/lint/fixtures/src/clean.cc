@@ -1,8 +1,8 @@
-// escort_analyzer self-test corpus: patterns that must stay silent.
+// escort_lint self-test fixture: EA lookalikes that must stay silent.
 //
 // Exercises the lookalikes next to each rule: value-key revalidation,
 // immediate (non-deferred) callables, id-keyed iteration.
-// The analyzer must report nothing for this file.
+// The checker must report nothing for this file.
 #include <cstdint>
 #include <functional>
 #include <map>

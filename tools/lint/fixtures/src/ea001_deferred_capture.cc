@@ -1,4 +1,4 @@
-// escort_analyzer self-test corpus: EA001 deferred-capture safety.
+// escort_lint self-test fixture: EA001 deferred-capture safety.
 //
 // A lambda handed to a deferred API outlives the current event; raw
 // pointers/references to kernel-lifetime objects inside it dangle when the
@@ -67,7 +67,11 @@ class Module {
   }
 
   void SuppressedWithReason(EventQueue* eq, Path* path) {
-    eq->ScheduleAt(10, [path] { path->Touch(); });  // NOLINT-EA001(closure is drained before any reclaim point in this corpus fixture)
+    eq->ScheduleAt(10, [path] { path->Touch(); });  // NOLINT-EA001(closure is drained before any reclaim point in this fixture)
+  }
+
+  void SuppressedWithoutReason(EventQueue* eq, Path* path) {
+    eq->ScheduleAt(10, [path] { path->Touch(); });  // NOLINT-EA001()  // EXPECT: EA000
   }
 
  private:

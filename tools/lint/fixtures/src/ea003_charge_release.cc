@@ -1,4 +1,4 @@
-// escort_analyzer self-test corpus: EA003 charge/release flow pairing.
+// escort_lint self-test fixture: EA003 charge/release flow pairing.
 //
 // Every handle from AllocPage / AllocIoBuffer / LockIoBuffer must be
 // released, transferred (returned, stored, passed on), or provably null on

@@ -1,11 +1,9 @@
-// escort_analyzer self-test corpus: EA005 determinism.
+// escort_lint self-test fixture: EA005 determinism.
 //
-// Iteration order over pointer-keyed or unordered containers follows the
-// allocator/hash, not the program, which breaks run-to-run determinism.
+// Iteration order over a pointer-keyed container follows the allocator,
+// not the program, which breaks run-to-run determinism.
 #include <cstdint>
 #include <map>
-#include <string>
-#include <unordered_map>
 
 class FlowState {
  public:
@@ -23,12 +21,6 @@ class FlowRegistry {
   void DrainByAddress() {
     while (!flows_.empty()) {
       Retire(flows_.begin()->first);  // EXPECT: EA005
-    }
-  }
-
-  void IterateByHash() {
-    for (const auto& entry : cache_) {  // EXPECT: EA005
-      Touch(entry.second);
     }
   }
 
@@ -51,6 +43,5 @@ class FlowRegistry {
   void Retire(const FlowState* flow);
 
   std::map<const FlowState*, uint64_t> flows_;
-  std::unordered_map<std::string, uint64_t> cache_;
   std::map<uint64_t, FlowState*> by_id_;
 };

@@ -21,7 +21,7 @@ Usage:
     reports at least one incident whose ttd_ms and ttr_ms are both finite
     and >= 0 — the defense detected the attack and service recovered;
   * every BENIGN cell reports exactly zero incidents — no false alarms.
-Files with schema_version < 6 have no incidents block and are rejected.
+Files whose schema_version is not 7 are rejected.
 
 Exit status: 0 ok, 1 check/validation failure, 2 usage/IO error.
 Stdlib only — no dependencies.
@@ -51,10 +51,9 @@ def load(path: str) -> dict:
         root = json.load(f)
     if not isinstance(root, dict) or not isinstance(root.get("cells"), list):
         raise ValueError(f"{path}: not a bench JSON document")
-    if root.get("schema_version", 0) < 6:
+    if root.get("schema_version") != 7:
         raise ValueError(
-            f"{path}: schema_version {root.get('schema_version')!r} has no "
-            "incidents block (needs >= 6)")
+            f"{path}: schema_version {root.get('schema_version')!r}, expected 7")
     return root
 
 
@@ -152,7 +151,7 @@ def check(root: dict, path: str) -> list:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("files", nargs="+", help="schema-v6 BENCH_*.json files")
+    parser.add_argument("files", nargs="+", help="schema-7 BENCH_*.json files")
     parser.add_argument("--out", help="write the Markdown report here instead of stdout")
     parser.add_argument("--check", action="store_true",
                         help="CI gate: attack cells must have an incident with "

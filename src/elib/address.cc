@@ -1,5 +1,6 @@
 #include "src/elib/address.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <tuple>
 
@@ -14,6 +15,14 @@ MacAddr MacAddr::FromIndex(uint64_t index) {
   mac.bytes[4] = static_cast<uint8_t>(index >> 8);
   mac.bytes[5] = static_cast<uint8_t>(index);
   return mac;
+}
+
+std::optional<uint64_t> MacAddr::ToIndex() const {
+  if (bytes[0] != 0x02 || bytes[1] != 0x00) {
+    return std::nullopt;
+  }
+  return (static_cast<uint64_t>(bytes[2]) << 24) | (static_cast<uint64_t>(bytes[3]) << 16) |
+         (static_cast<uint64_t>(bytes[4]) << 8) | bytes[5];
 }
 
 bool MacAddr::IsBroadcast() const { return *this == Broadcast(); }
@@ -46,6 +55,25 @@ bool ConnKey::operator<(const ConnKey& other) const {
   return std::tie(local_addr.value, local_port, remote_addr.value, remote_port) <
          std::tie(other.local_addr.value, other.local_port, other.remote_addr.value,
                   other.remote_port);
+}
+
+void ArpTable::Set(Ip4Addr ip, MacAddr mac) {
+  auto it = std::lower_bound(entries_.begin(), entries_.end(), ip,
+                             [](const Entry& e, Ip4Addr key) { return e.ip < key; });
+  if (it != entries_.end() && it->ip == ip) {
+    it->mac = mac;
+    return;
+  }
+  entries_.insert(it, Entry{ip, mac});
+}
+
+std::optional<MacAddr> ArpTable::Find(Ip4Addr ip) const {
+  auto it = std::lower_bound(entries_.begin(), entries_.end(), ip,
+                             [](const Entry& e, Ip4Addr key) { return e.ip < key; });
+  if (it == entries_.end() || it->ip != ip) {
+    return std::nullopt;
+  }
+  return it->mac;
 }
 
 }  // namespace escort

@@ -1,13 +1,16 @@
 // Participant addresses (one of the Escort support libraries): Ethernet MAC
 // and IPv4 addresses plus subnet matching, used by the modules and by the
-// per-subnet SYN policies.
+// per-subnet SYN policies, and the flat IP -> MAC table that the ARP module
+// and the testbed machines resolve next hops through.
 
 #ifndef SRC_ELIB_ADDRESS_H_
 #define SRC_ELIB_ADDRESS_H_
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <vector>
 
 namespace escort {
 
@@ -15,7 +18,13 @@ struct MacAddr {
   std::array<uint8_t, 6> bytes{};
 
   static MacAddr Broadcast() { return MacAddr{{0xff, 0xff, 0xff, 0xff, 0xff, 0xff}}; }
+  // The testbed's MAC for machine `index`: 02:00 (locally administered)
+  // followed by the low 32 bits of the index, big-endian.
   static MacAddr FromIndex(uint64_t index);
+  // Inverse of FromIndex: the index, or nullopt for a MAC whose first two
+  // bytes are not 02:00 (broadcast included). Ascending index is ascending
+  // byte order, so tables indexed by it iterate in MAC order.
+  std::optional<uint64_t> ToIndex() const;
 
   bool IsBroadcast() const;
   bool operator==(const MacAddr& other) const { return bytes == other.bytes; }
@@ -59,6 +68,24 @@ struct ConnKey {
            remote_addr == other.remote_addr && remote_port == other.remote_port;
   }
   bool operator<(const ConnKey& other) const;
+};
+
+// IP -> MAC resolution table: one flat vector sorted by IP, so a lookup is
+// a binary search and an entry costs 12 bytes. An insert shifts the tail;
+// the testbed assigns addresses in ascending order, so its inserts append.
+class ArpTable {
+ public:
+  // Inserts the mapping, or overwrites the MAC of an existing entry.
+  void Set(Ip4Addr ip, MacAddr mac);
+  std::optional<MacAddr> Find(Ip4Addr ip) const;
+  size_t size() const { return entries_.size(); }
+
+ private:
+  struct Entry {
+    Ip4Addr ip;
+    MacAddr mac;
+  };
+  std::vector<Entry> entries_;  // ascending by ip, one entry per ip
 };
 
 }  // namespace escort

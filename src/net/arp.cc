@@ -15,13 +15,7 @@ void ArpModule::Init() {
   arp_path_ = paths()->Create(eth, attrs, "ARP Path");
 }
 
-std::optional<MacAddr> ArpModule::Resolve(Ip4Addr ip) const {
-  auto it = table_.find(ip);
-  if (it == table_.end()) {
-    return std::nullopt;
-  }
-  return it->second;
-}
+std::optional<MacAddr> ArpModule::Resolve(Ip4Addr ip) const { return table_.Find(ip); }
 
 Message ArpModule::NewArpMessage(Path* path, const ArpPacket& pkt, MacAddr dst) {
   // Readable by every domain along the ARP path (the ETH driver transmits).
@@ -89,7 +83,7 @@ void ArpModule::Process(Stage& stage, Message msg, Direction dir) {
     return;
   }
   // Learn the sender either way.
-  table_[pkt->sender_ip] = pkt->sender_mac;
+  table_.Set(pkt->sender_ip, pkt->sender_mac);
   if (pkt->opcode == 1 && pkt->target_ip == our_ip_) {
     ++answered_;
     ArpPacket reply;

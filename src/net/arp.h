@@ -8,7 +8,6 @@
 #ifndef SRC_NET_ARP_H_
 #define SRC_NET_ARP_H_
 
-#include <map>
 #include <optional>
 
 #include "src/net/headers.h"
@@ -27,7 +26,7 @@ class ArpModule : public Module {
 
   // Name-resolution service used by IP.
   std::optional<MacAddr> Resolve(Ip4Addr ip) const;
-  void AddEntry(Ip4Addr ip, MacAddr mac) { table_[ip] = mac; }
+  void AddEntry(Ip4Addr ip, MacAddr mac) { table_.Set(ip, mac); }
   size_t table_size() const { return table_.size(); }
 
   // Sends an ARP request for `ip` (fire and forget; the reply populates the
@@ -46,7 +45,7 @@ class ArpModule : public Module {
 
   const Ip4Addr our_ip_;
   const MacAddr our_mac_;
-  std::map<Ip4Addr, MacAddr> table_;
+  ArpTable table_;
   Path* arp_path_ = nullptr;
   uint64_t answered_ = 0;
 };

@@ -22,7 +22,6 @@ MacAddr MacFromAux(uint64_t aux) {
 }
 
 void EthDriverModule::ReceiveFrame(const std::vector<uint8_t>& frame) {
-  ++frames_rx_;
   // Receive buffers are owned by the driver's domain and readable along any
   // path (the driver cannot know the receiving path before demux).
   std::vector<PdId> read_domains;

@@ -45,14 +45,11 @@ class EthDriverModule : public Module {
   void Process(Stage& stage, Message msg, Direction dir) override;
   Cycles ProcessCost(Direction dir) const override;
 
-  uint64_t frames_received() const { return frames_rx_; }
-
  private:
   const MacAddr mac_;
   Module* ip_ = nullptr;
   Module* arp_ = nullptr;
   std::function<void(std::vector<uint8_t>)> transmit_;
-  uint64_t frames_rx_ = 0;
 };
 
 }  // namespace escort

@@ -57,7 +57,6 @@ void IpModule::Process(Stage& stage, Message msg, Direction dir) {
   if (dir == Direction::kUp) {
     auto hdr = ParseIpHeader(msg, pd());
     if (!hdr.has_value() || !hdr->checksum_ok) {
-      ++checksum_failures_;
       return;
     }
     if (hdr->dst != our_ip_ || hdr->protocol != kIpProtoTcp || hdr->ttl == 0) {

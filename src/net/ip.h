@@ -56,7 +56,6 @@ class IpModule : public Module {
   void Process(Stage& stage, Message msg, Direction dir) override;
   Cycles ProcessCost(Direction dir) const override;
 
-  uint64_t checksum_failures() const { return checksum_failures_; }
   uint64_t unroutable() const { return unroutable_; }
 
   // Packs (src, dst) addresses into a message aux word for the TCP layer.
@@ -72,7 +71,6 @@ class IpModule : public Module {
   Module* tcp_ = nullptr;
   ArpModule* arp_ = nullptr;
   uint16_t next_id_ = 1;
-  uint64_t checksum_failures_ = 0;
   uint64_t unroutable_ = 0;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/sim/metrics.h"
 #include "src/sim/trace.h"
 
 namespace escort {
@@ -174,6 +175,11 @@ Path* PathManager::FindLive(uint64_t owner_id) {
   return it == by_id_.end() ? nullptr : it->second;
 }
 
+uint64_t PathManager::drop_count(const std::string& reason) const {
+  auto it = drop_reasons_.find(reason);
+  return it == drop_reasons_.end() ? 0 : it->second.count;
+}
+
 Path* PathManager::DemuxAndDeliver(Module* start, Message msg, const char** drop_reason) {
   const CostModel& cm = kernel_->costs();
   Cycles cost = cm.interrupt_overhead;
@@ -221,7 +227,14 @@ Path* PathManager::DemuxAndDeliver(Module* start, Message msg, const char** drop
   // Dropped: the cycles spent taking the interrupt and classifying the
   // message are consumed on the kernel's interrupt thread.
   ++demux_drops_;
-  drop_reasons_[reason] += 1;
+  auto [it, first] = drop_reasons_.try_emplace(reason);
+  if (first && kernel_->metrics() != nullptr) {
+    it->second.metric = ESCORT_METRIC_COUNTER(kernel_->metrics(),
+                                              std::string("path.demux_drops.") + reason,
+                                              "frames dropped at demux, by reason");
+  }
+  ++it->second.count;
+  MetricAdd(it->second.metric);
   if (drop_reason != nullptr) {
     *drop_reason = reason;
   }

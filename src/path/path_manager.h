@@ -70,7 +70,8 @@ class PathManager {
   uint64_t killed_count() const { return killed_; }
   uint64_t demux_drops() const { return demux_drops_; }
   uint64_t backlog_drops() const { return backlog_drops_; }
-  const std::map<std::string, uint64_t>& drop_reasons() const { return drop_reasons_; }
+  // Demux drops with this reason so far (0 for a reason never seen).
+  uint64_t drop_count(const std::string& reason) const;
 
   // Clears lazily retired path objects (safe point housekeeping).
   void ReapRetired();
@@ -105,7 +106,14 @@ class PathManager {
   uint64_t killed_ = 0;
   uint64_t demux_drops_ = 0;
   uint64_t backlog_drops_ = 0;
-  std::map<std::string, uint64_t> drop_reasons_;
+  // Per drop reason: the count, and the registry counter
+  // `path.demux_drops.<reason>` (null without metrics), registered once at
+  // the reason's first drop.
+  struct DropReason {
+    uint64_t count = 0;
+    MetricCounter* metric = nullptr;
+  };
+  std::map<std::string, DropReason> drop_reasons_;
 };
 
 }  // namespace escort

@@ -23,21 +23,12 @@ void MonolithicServer::AddDocument(const std::string& name, uint64_t size) {
 void MonolithicServer::CpuRun(Cycles cost, std::function<void()> fn) {
   Cycles start = std::max(eq_->now(), cpu_free_);
   cpu_free_ = start + cost;
-  cpu_busy_total_ += cost;
   eq_->ScheduleAt(cpu_free_, std::move(fn));
-}
-
-double MonolithicServer::cpu_utilization(Cycles window) const {
-  if (window == 0) {
-    return 0.0;
-  }
-  return static_cast<double>(cpu_busy_total_) / static_cast<double>(window);
 }
 
 void MonolithicServer::SendSegment(const ConnKey& key, uint8_t flags, uint32_t seq, uint32_t ack,
                                    const std::vector<uint8_t>& payload) {
-  auto mac = arp_.find(key.remote_addr);
-  MacAddr dst = mac != arp_.end() ? mac->second : MacAddr::Broadcast();
+  MacAddr dst = arp_.Find(key.remote_addr).value_or(MacAddr::Broadcast());
   TcpHeader hdr;
   hdr.src_port = key.local_port;
   hdr.dst_port = key.remote_port;
@@ -53,7 +44,7 @@ void MonolithicServer::DeliverFrame(const std::vector<uint8_t>& frame) {
     return;
   }
   if (parsed->is_arp) {
-    arp_[parsed->arp.sender_ip] = parsed->arp.sender_mac;
+    arp_.Set(parsed->arp.sender_ip, parsed->arp.sender_mac);
     if (parsed->arp.opcode == 1 && parsed->arp.target_ip == ip_) {
       ArpPacket reply;
       reply.opcode = 2;
@@ -68,7 +59,7 @@ void MonolithicServer::DeliverFrame(const std::vector<uint8_t>& frame) {
   if (!parsed->is_tcp || parsed->ip.dst != ip_ || !parsed->tcp.checksum_ok) {
     return;
   }
-  arp_[parsed->ip.src] = parsed->eth.src;
+  arp_.Set(parsed->ip.src, parsed->eth.src);
   // Interrupt + softirq processing occupies the CPU before the stack runs.
   WireFrame f = std::move(*parsed);
   CpuRun(costs_.linux_syn_cost / 2, [this, f = std::move(f)] { HandleTcp(f); });

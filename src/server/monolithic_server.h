@@ -34,7 +34,6 @@ class MonolithicServer : public NetEndpoint {
   uint64_t connections_served() const { return served_; }
   uint64_t syn_drops() const { return syn_drops_; }
   size_t half_open() const { return half_open_; }
-  double cpu_utilization(Cycles window) const;
 
  private:
   struct Conn {
@@ -70,13 +69,12 @@ class MonolithicServer : public NetEndpoint {
 
   std::map<ConnKey, Conn> conns_;
   std::map<std::string, std::vector<uint8_t>> docs_;
-  std::map<Ip4Addr, MacAddr> arp_;
+  ArpTable arp_;
   size_t half_open_ = 0;
   uint64_t served_ = 0;
   uint64_t syn_drops_ = 0;
   uint32_t next_iss_ = 99'000;
   Cycles cpu_free_ = 0;
-  Cycles cpu_busy_total_ = 0;
 };
 
 }  // namespace escort

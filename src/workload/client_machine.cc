@@ -281,8 +281,8 @@ void ClientMachine::ReleaseConnection(TcpPeer* peer) {
 
 void ClientMachine::SendTcp(TcpPeer* peer, uint8_t flags, uint32_t seq, uint32_t ack,
                             const std::vector<uint8_t>& payload) {
-  auto it = arp_.find(peer->remote_);
-  if (it == arp_.end()) {
+  std::optional<MacAddr> dst = arp_.Find(peer->remote_);
+  if (!dst.has_value()) {
     return;  // no ARP mapping: drop (the topology builder preloads these)
   }
   TcpHeader hdr;
@@ -292,18 +292,17 @@ void ClientMachine::SendTcp(TcpPeer* peer, uint8_t flags, uint32_t seq, uint32_t
   hdr.ack = ack;
   hdr.flags = flags;
   hdr.window = 0xffff;
-  Transmit(BuildTcpFrame(mac_, it->second, ip_, peer->remote_, hdr, payload));
+  Transmit(BuildTcpFrame(mac_, *dst, ip_, peer->remote_, hdr, payload));
 }
 
 void ClientMachine::DeliverFrame(const std::vector<uint8_t>& frame) {
-  ++frames_rx_;
   auto parsed = ParseFrame(frame);
   if (!parsed.has_value()) {
     return;
   }
   if (parsed->is_arp) {
     // Answer requests for our IP; learn replies.
-    arp_[parsed->arp.sender_ip] = parsed->arp.sender_mac;
+    arp_.Set(parsed->arp.sender_ip, parsed->arp.sender_mac);
     if (parsed->arp.opcode == 1 && parsed->arp.target_ip == ip_) {
       ArpPacket reply;
       reply.opcode = 2;

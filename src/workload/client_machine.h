@@ -22,7 +22,6 @@
 #define SRC_WORKLOAD_CLIENT_MACHINE_H_
 
 #include <cstdint>
-#include <map>
 #include <utility>
 #include <vector>
 
@@ -133,7 +132,7 @@ class ClientMachine : public NetEndpoint {
   Rng& rng() { return rng_; }
   const NetworkModel& model() const { return model_; }
 
-  void AddArpEntry(Ip4Addr ip, MacAddr mac) { arp_[ip] = mac; }
+  void AddArpEntry(Ip4Addr ip, MacAddr mac) { arp_.Set(ip, mac); }
 
   // Opens a connection (does not send the SYN; call Connect()). The owner
   // must outlive the connection; it may be null (fire-and-forget senders).
@@ -160,8 +159,6 @@ class ClientMachine : public NetEndpoint {
   Cycles retransmit_timeout = CyclesFromMillis(1000);
   int max_retransmits = 4;
 
-  uint64_t frames_received() const { return frames_rx_; }
-
  private:
   friend class TcpPeer;
 
@@ -176,7 +173,7 @@ class ClientMachine : public NetEndpoint {
   const NetworkModel model_;
   Rng rng_;
 
-  std::map<Ip4Addr, MacAddr> arp_;
+  ArpTable arp_;
   // Fallback table for slab-less construction; slab_ points at it then.
   Slab<TcpPeer> own_slab_;
   Slab<TcpPeer>* slab_ = nullptr;
@@ -185,7 +182,6 @@ class ClientMachine : public NetEndpoint {
   // machines — no per-connection heap allocation at all.
   std::vector<std::pair<uint16_t, ConnHandle>> conns_;
   uint16_t next_port_ = 4096;
-  uint64_t frames_rx_ = 0;
 };
 
 }  // namespace escort

@@ -1,15 +1,37 @@
 #include "src/workload/network.h"
 
 #include <algorithm>
+#include <optional>
+#include <stdexcept>
 #include <utility>
 
 namespace escort {
 
 void SharedLink::Attach(const MacAddr& mac, NetEndpoint* endpoint, Cycles extra_latency) {
-  ports_[mac] = Port{endpoint, extra_latency, eq_->current_stream()};
+  std::optional<uint64_t> index = mac.ToIndex();
+  if (!index.has_value()) {
+    throw std::invalid_argument("SharedLink::Attach: " + mac.ToString() +
+                                " is not a MacAddr::FromIndex address");
+  }
+  if (*index >= ports_.size()) {
+    ports_.resize(*index + 1);
+  }
+  ports_[*index] = Port{endpoint, extra_latency, eq_->current_stream()};
 }
 
-void SharedLink::Detach(const MacAddr& mac) { ports_.erase(mac); }
+void SharedLink::Detach(const MacAddr& mac) {
+  if (Port* port = PortOf(mac); port != nullptr) {
+    *port = Port{};
+  }
+}
+
+SharedLink::Port* SharedLink::PortOf(const MacAddr& mac) {
+  std::optional<uint64_t> index = mac.ToIndex();
+  if (!index.has_value() || *index >= ports_.size() || ports_[*index].endpoint == nullptr) {
+    return nullptr;
+  }
+  return &ports_[*index];
+}
 
 Cycles SharedLink::SerializationTime(size_t frame_bytes) const {
   // Preamble + IFG + CRC overhead on the wire; 64-byte minimum frame.
@@ -41,13 +63,14 @@ void SharedLink::TransmitSequenced(const MacAddr& src, const MacAddr& dst,
   Cycles tx = SerializationTime(frame.size());
   Cycles start = std::max(send_time, medium_free_);
   medium_free_ = start + tx;
-  busy_cycles_ += tx;
   ++frames_;
 
   Cycles at = medium_free_;
   if (dst.IsBroadcast()) {
-    for (auto& [mac, port] : ports_) {
-      if (mac == src) {
+    std::optional<uint64_t> src_index = src.ToIndex();
+    for (size_t i = 0; i < ports_.size(); ++i) {
+      const Port& port = ports_[i];
+      if (port.endpoint == nullptr || src_index == i) {
         continue;
       }
       NetEndpoint* ep = port.endpoint;
@@ -56,20 +79,13 @@ void SharedLink::TransmitSequenced(const MacAddr& src, const MacAddr& dst,
     }
     return;
   }
-  auto it = ports_.find(dst);
-  if (it == ports_.end()) {
+  const Port* port = PortOf(dst);
+  if (port == nullptr) {
     return;
   }
-  NetEndpoint* ep = it->second.endpoint;
-  eq_->ScheduleAtFrom(it->second.stream, at + it->second.extra_latency,
+  NetEndpoint* ep = port->endpoint;
+  eq_->ScheduleAtFrom(port->stream, at + port->extra_latency,
                       [ep, frame = std::move(frame)] { ep->DeliverFrame(frame); });
-}
-
-double SharedLink::utilization(Cycles window_start, Cycles window_end) const {
-  if (window_end <= window_start) {
-    return 0.0;
-  }
-  return static_cast<double>(busy_cycles_) / static_cast<double>(window_end - window_start);
 }
 
 }  // namespace escort

@@ -11,7 +11,6 @@
 #define SRC_WORKLOAD_NETWORK_H_
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "src/elib/address.h"
@@ -36,12 +35,16 @@ class SharedLink {
   // Attaches an endpoint. The port remembers the event queue's current
   // stream: deliveries to this endpoint execute in that stream's context
   // (testbeds construct each machine inside an EventQueue::StreamScope).
+  // Ports are indexed by MacAddr::ToIndex, so `mac` must come from
+  // MacAddr::FromIndex; any other MAC throws std::invalid_argument. The
+  // port table grows to the largest index attached.
   void Attach(const MacAddr& mac, NetEndpoint* endpoint, Cycles extra_latency = 0);
   void Detach(const MacAddr& mac);
 
-  // Transmits a frame. Unicast goes to the owner of the destination MAC;
-  // broadcast goes to everyone except the sender. Delivery happens after
-  // the medium frees up + serialization + latency.
+  // Transmits a frame. Unicast goes to the owner of the destination MAC
+  // (a MAC with no attached port is dropped); broadcast goes to everyone
+  // except the sender, in ascending MAC order. Delivery happens after the
+  // medium frees up + serialization + latency.
   //
   // The medium is the one piece of state shared between streams, so the
   // send runs as a sequenced transaction (EventQueue::PostSequenced):
@@ -52,15 +55,17 @@ class SharedLink {
   void set_drop_every(uint64_t n) { drop_every_ = n; }
 
   uint64_t frames_dropped() const { return dropped_; }
-  double utilization(Cycles window_start, Cycles window_end) const;
 
  private:
   struct Port {
-    NetEndpoint* endpoint = nullptr;
+    NetEndpoint* endpoint = nullptr;  // nullptr: empty slot
     Cycles extra_latency = 0;
     EventQueue::StreamId stream = 0;  // deliveries run in this stream
   };
 
+  // The attached port for `mac`, or nullptr when the MAC has no index, its
+  // index is past the table, or the slot is empty.
+  Port* PortOf(const MacAddr& mac);
   Cycles SerializationTime(size_t frame_bytes) const;
   // Body of Send: runs in sequenced-transaction order.
   void TransmitSequenced(const MacAddr& src, const MacAddr& dst, std::vector<uint8_t> frame,
@@ -68,13 +73,13 @@ class SharedLink {
 
   EventQueue* const eq_;
   const NetworkModel model_;
-  std::map<MacAddr, Port, bool (*)(const MacAddr&, const MacAddr&)> ports_{
-      [](const MacAddr& a, const MacAddr& b) { return a.bytes < b.bytes; }};
+  // Indexed by MacAddr::ToIndex. Ascending index is ascending MAC order:
+  // a broadcast schedules its same-time deliveries in that order.
+  std::vector<Port> ports_;
   Cycles medium_free_ = 0;
   uint64_t frames_ = 0;
   uint64_t dropped_ = 0;
   uint64_t drop_every_ = 0;
-  Cycles busy_cycles_ = 0;
 };
 
 }  // namespace escort

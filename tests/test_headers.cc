@@ -237,6 +237,47 @@ TEST(AddressTest, Formatting) {
   EXPECT_TRUE(MacAddr::Broadcast().IsBroadcast());
 }
 
+TEST(AddressTest, MacIndexInvertsFromIndex) {
+  for (uint64_t i : {0ULL, 1ULL, 255ULL, 256ULL, 250000ULL, 0xffffffffULL}) {
+    EXPECT_EQ(MacAddr::FromIndex(i).ToIndex(), i);
+  }
+  // FromIndex keeps the low 32 bits.
+  EXPECT_EQ(MacAddr::FromIndex(0x100000005ULL).ToIndex(), 5u);
+  EXPECT_FALSE(MacAddr::Broadcast().ToIndex().has_value());
+  EXPECT_FALSE(MacAddr{}.ToIndex().has_value());
+  MacAddr mac = MacAddr::FromIndex(9);
+  mac.bytes[1] = 0x01;
+  EXPECT_FALSE(mac.ToIndex().has_value());
+  // Ascending index is ascending byte order.
+  EXPECT_LT(MacAddr::FromIndex(255).bytes, MacAddr::FromIndex(256).bytes);
+  EXPECT_LT(MacAddr::FromIndex(65535).bytes, MacAddr::FromIndex(250000).bytes);
+}
+
+TEST(AddressTest, ArpTableInsertOverwriteAndMiss) {
+  ArpTable table;
+  const Ip4Addr a = Ip4Addr::FromOctets(10, 0, 1, 1);
+  const Ip4Addr b = Ip4Addr::FromOctets(10, 0, 1, 2);
+  const Ip4Addr c = Ip4Addr::FromOctets(10, 8, 0, 0);
+  EXPECT_FALSE(table.Find(a).has_value());
+  // Out of order: the middle entry lands between its neighbours.
+  table.Set(c, MacAddr::FromIndex(3));
+  table.Set(a, MacAddr::FromIndex(1));
+  table.Set(b, MacAddr::FromIndex(2));
+  EXPECT_EQ(table.size(), 3u);
+  EXPECT_EQ(table.Find(a), MacAddr::FromIndex(1));
+  EXPECT_EQ(table.Find(b), MacAddr::FromIndex(2));
+  EXPECT_EQ(table.Find(c), MacAddr::FromIndex(3));
+
+  table.Set(b, MacAddr::FromIndex(20));
+  EXPECT_EQ(table.size(), 3u);
+  EXPECT_EQ(table.Find(b), MacAddr::FromIndex(20));
+  EXPECT_EQ(table.Find(a), MacAddr::FromIndex(1));
+
+  EXPECT_FALSE(table.Find(Ip4Addr::FromOctets(10, 0, 1, 0)).has_value());   // below all
+  EXPECT_FALSE(table.Find(Ip4Addr::FromOctets(10, 0, 1, 3)).has_value());   // between
+  EXPECT_FALSE(table.Find(Ip4Addr::FromOctets(10, 9, 0, 0)).has_value());   // above all
+}
+
 TEST(AddressTest, ConnKeyOrderingAndEquality) {
   ConnKey a{Ip4Addr{1}, 80, Ip4Addr{2}, 4000};
   ConnKey b{Ip4Addr{1}, 80, Ip4Addr{2}, 4001};

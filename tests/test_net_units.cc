@@ -136,7 +136,7 @@ TEST(EthDriver, NonIpNonArpFramesDropped) {
   frame[13] = 0x37;
   m->Transmit(frame);
   tb.RunFor(0.05);
-  EXPECT_EQ(tb.server->paths().drop_reasons().at("eth-type"), 1u);
+  EXPECT_EQ(tb.server->paths().drop_count("eth-type"), 1u);
 }
 
 TEST(EthDriver, FramesForOtherMacsIgnored) {
@@ -154,7 +154,7 @@ TEST(EthDriver, FramesForOtherMacsIgnored) {
   // Force-deliver to the server as if the hub flooded it.
   tb.server->DeliverFrame(frame);
   tb.RunFor(0.05);
-  EXPECT_EQ(tb.server->paths().drop_reasons().at("eth-notus"), 1u);
+  EXPECT_EQ(tb.server->paths().drop_count("eth-notus"), 1u);
   EXPECT_EQ(tb.server->tcp()->conn_count(), 0u);
 }
 

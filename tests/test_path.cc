@@ -6,6 +6,7 @@
 
 #include "src/path/filter.h"
 #include "src/path/path_manager.h"
+#include "src/sim/metrics.h"
 
 namespace escort {
 namespace {
@@ -88,6 +89,7 @@ class PathTest : public ::testing::Test {
                           64, 16);
   }
 
+  MetricsRegistry metrics_;  // attached by the tests that read it
   EventQueue eq_;
   std::unique_ptr<Kernel> kernel_;
   std::unique_ptr<ModuleGraph> graph_;
@@ -235,6 +237,30 @@ TEST_F(PathTest, DemuxDropsForBackloggedPath) {
   EXPECT_EQ(got, nullptr);
   EXPECT_STREQ(reason, "backlog");
   EXPECT_EQ(manager_->backlog_drops(), 1u);
+}
+
+TEST_F(PathTest, DemuxDropsReachTheMetricsRegistryByReason) {
+  kernel_->set_metrics(&metrics_);
+  Path* p = manager_->Create(a_, Attributes{}, "slow");
+  a_->next_for_demux = b_;
+  b_->deliver_to = p;
+  manager_->set_input_backlog_limit(1);
+  Thread* worker = p->GrabThread();
+  worker->Push(1'000'000, kKernelDomain, nullptr);
+  worker->Push(1'000'000, kKernelDomain, nullptr);
+  EXPECT_EQ(manager_->DemuxAndDeliver(a_, NewMessage()), nullptr);
+  EXPECT_EQ(manager_->DemuxAndDeliver(a_, NewMessage()), nullptr);
+  a_->next_for_demux = nullptr;
+  EXPECT_EQ(manager_->DemuxAndDeliver(a_, NewMessage()), nullptr);  // echo-drop
+
+  const MetricCounter* backlog = metrics_.FindCounter("path.demux_drops.backlog");
+  ASSERT_NE(backlog, nullptr);
+  EXPECT_EQ(manager_->backlog_drops(), 2u);
+  EXPECT_EQ(backlog->value(), manager_->backlog_drops());
+  const MetricCounter* echo = metrics_.FindCounter("path.demux_drops.echo-drop");
+  ASSERT_NE(echo, nullptr);
+  EXPECT_EQ(echo->value(), 1u);
+  EXPECT_EQ(metrics_.FindCounter("path.demux_drops.dead-path"), nullptr);  // never dropped
 }
 
 TEST_F(PathTest, DistinctDomainCountAndCrossings) {

@@ -44,7 +44,7 @@ TEST(TcpModule, SynToClosedPortIsDropped) {
   peer->Connect();
   tb.RunFor(3.0);
   EXPECT_TRUE(failed);
-  EXPECT_GT(tb.server->paths().drop_reasons().at("tcp-noport"), 0u);
+  EXPECT_GT(tb.server->paths().drop_count("tcp-noport"), 0u);
 }
 
 TEST(TcpModule, ChecksumFailureDropsSegment) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <stdexcept>
 
 #include "src/elib/bounded_queue.h"
 #include "src/workload/experiment.h"
@@ -106,6 +107,92 @@ TEST(SharedLink, DropEveryNDropsDeterministically) {
   eq.RunToCompletion();
   EXPECT_EQ(link.frames_dropped(), 3u);
   EXPECT_EQ(sink.frames, 6u);
+}
+
+// A frame addressed to `dst` (the link reads only the destination MAC).
+std::vector<uint8_t> FrameTo(const MacAddr& dst) {
+  std::vector<uint8_t> frame(64, 0);
+  std::copy_n(dst.bytes.begin(), 6, frame.begin());
+  return frame;
+}
+
+// Appends its id to a shared log on every delivery.
+class LoggingEndpoint : public NetEndpoint {
+ public:
+  LoggingEndpoint(uint64_t id, std::vector<uint64_t>* log) : id_(id), log_(log) {}
+  void DeliverFrame(const std::vector<uint8_t>&) override { log_->push_back(id_); }
+
+ private:
+  uint64_t id_;
+  std::vector<uint64_t>* log_;
+};
+
+TEST(SharedLink, BroadcastDeliversInAscendingMacOrder) {
+  // Same-time deliveries are keyed in scheduling order, so the broadcast's
+  // walk order is observable: ascending MAC, whatever the attach order.
+  EventQueue eq;
+  SharedLink link(&eq, NetworkModel::Calibrated());
+  std::vector<uint64_t> log;
+  LoggingEndpoint e3(3, &log), e1(1, &log), e250k(250000, &log), e2(2, &log);
+  link.Attach(MacAddr::FromIndex(3), &e3, 100);
+  link.Attach(MacAddr::FromIndex(1), &e1, 100);
+  link.Attach(MacAddr::FromIndex(250000), &e250k, 100);
+  link.Attach(MacAddr::FromIndex(2), &e2, 100);
+  link.Send(MacAddr::FromIndex(2), FrameTo(MacAddr::Broadcast()));
+  eq.RunToCompletion();
+  EXPECT_EQ(log, (std::vector<uint64_t>{1, 3, 250000}));
+}
+
+TEST(SharedLink, DetachEmptiesThePortAndReattachRefillsIt) {
+  EventQueue eq;
+  SharedLink link(&eq, NetworkModel::Calibrated());
+  NullEndpoint first, second;
+  const MacAddr mac = MacAddr::FromIndex(7);
+  link.Attach(mac, &first);
+  link.Send(MacAddr::FromIndex(1), FrameTo(mac));
+  eq.RunToCompletion();
+  EXPECT_EQ(first.frames, 1u);
+
+  link.Detach(mac);
+  link.Send(MacAddr::FromIndex(1), FrameTo(mac));
+  link.Send(MacAddr::FromIndex(1), FrameTo(MacAddr::Broadcast()));
+  eq.RunToCompletion();
+  EXPECT_EQ(first.frames, 1u);
+
+  link.Attach(mac, &second);
+  link.Send(MacAddr::FromIndex(1), FrameTo(mac));
+  eq.RunToCompletion();
+  EXPECT_EQ(first.frames, 1u);
+  EXPECT_EQ(second.frames, 1u);
+}
+
+TEST(SharedLink, UnicastToUnknownDestinationsIsDropped) {
+  EventQueue eq;
+  SharedLink link(&eq, NetworkModel::Calibrated());
+  NullEndpoint a, b;
+  link.Attach(MacAddr::FromIndex(1), &a);
+  link.Attach(MacAddr::FromIndex(5), &b);
+  link.Detach(MacAddr::FromIndex(5));
+
+  MacAddr foreign = MacAddr::FromIndex(3);
+  foreign.bytes[1] = 0x01;  // not 02:00: no FromIndex address
+  link.Send(MacAddr::FromIndex(1), FrameTo(MacAddr::FromIndex(5)));       // detached
+  link.Send(MacAddr::FromIndex(1), FrameTo(MacAddr::FromIndex(4)));       // never attached
+  link.Send(MacAddr::FromIndex(1), FrameTo(MacAddr::FromIndex(1000000)));  // past the table
+  link.Send(MacAddr::FromIndex(1), FrameTo(foreign));
+  eq.RunToCompletion();
+  EXPECT_EQ(a.frames, 0u);
+  EXPECT_EQ(b.frames, 0u);
+}
+
+TEST(SharedLink, AttachRejectsMacsNotMadeByFromIndex) {
+  EventQueue eq;
+  SharedLink link(&eq, NetworkModel::Calibrated());
+  NullEndpoint a;
+  MacAddr foreign = MacAddr::FromIndex(3);
+  foreign.bytes[0] = 0x00;
+  EXPECT_THROW(link.Attach(foreign, &a), std::invalid_argument);
+  EXPECT_THROW(link.Attach(MacAddr::Broadcast(), &a), std::invalid_argument);
 }
 
 TEST(ExperimentHarness, BasicRunProducesThroughput) {

@@ -35,9 +35,6 @@ Kernel::Kernel(EventQueue* eq, KernelConfig config) : eq_(eq), config_(config), 
     case SchedulerKind::kProportionalShare:
       scheduler_ = std::make_unique<ProportionalShareScheduler>();
       break;
-    case SchedulerKind::kEdf:
-      scheduler_ = std::make_unique<EdfScheduler>(&eq_->now_ref());
-      break;
   }
 
   kernel_owner_ = std::make_unique<Owner>(OwnerType::kKernel, NextOwnerId(), "kernel");
@@ -120,20 +117,6 @@ const std::string& Kernel::AccountLabel(const Owner* owner) const {
   return it == account_labels_.end() ? kUnknown : it->second.label;
 }
 
-// --- ACL --------------------------------------------------------------------------
-
-bool Kernel::CheckSyscall(PdId pd, Syscall sc) {
-  Role role;
-  role.domain = pd;
-  role.owner_type = running_ != nullptr ? running_->owner()->type() : OwnerType::kKernel;
-  if (!acl_.Allows(role, sc)) {
-    acl_.RecordDenied();
-    return false;
-  }
-  ConsumeSyscall(pd);
-  return true;
-}
-
 // --- Cycle charging -----------------------------------------------------------------
 
 void Kernel::ChargeCycles(Owner* owner, Cycles c) {
@@ -172,12 +155,6 @@ void Kernel::ConsumePrechargedTo(Owner* owner, Cycles cost) {
   }
   ChargeCycles(owner, cost);
   pending_precharged_ += cost;
-}
-
-void Kernel::ConsumeSyscall(PdId from_domain) {
-  if (from_domain != kKernelDomain) {
-    Consume(config_.costs.syscall_overhead);
-  }
 }
 
 // --- Threads + CPU ---------------------------------------------------------------------
@@ -289,36 +266,22 @@ void Kernel::DispatchNext() {
       ++crossing_violations_;
       current_item_.fn = nullptr;
       if (fault_handler_) {
-        in_item_ = true;
-        pending_consume_ = 0;
-        pending_precharged_ = 0;
-        fault_handler_(t->owner(), t);
-        in_item_ = false;
-        Cycles fault_extra = pending_consume_ + pending_precharged_;
-        Cycles pc = pending_consume_;
-        pending_consume_ = 0;
-        pending_precharged_ = 0;
+        HandlerCycles spent = RunPolicyHandler(fault_handler_, t);
         if (running_ != t || t->state_ == ThreadState::kDead) {
           running_ = nullptr;
           // The dropped item still burned the trap cost; bill the kernel
           // and let the reclamation time pass before the next dispatch.
-          cpu_busy_ = true;
-          busy_segment_start_ = eq_->now();
-          busy_segment_upfront_ = fault_extra - pc;  // precharged teardown
-          eq_->ScheduleAfter(fault_extra + config_.costs.pd_crossing, [this, pc] {
-            ChargeCycles(kernel_owner_.get(), pc + config_.costs.pd_crossing);
-            cpu_busy_ = false;
-            DispatchNext();
-          });
+          StartKernelBilledSegment(spent.total() + config_.costs.pd_crossing,
+                                   spent.consumed + config_.costs.pd_crossing);
           return;
         }
         // The thread survived the fault: the handler's time is folded into
         // this item's busy period, with the kernel billed for it at the
         // item's completion (charging now with no elapsed time would break
         // cycle conservation).
-        deferred_duration_ += fault_extra;
-        deferred_kernel_charge_ += pc;
-        cost += fault_extra;
+        deferred_duration_ += spent.total();
+        deferred_kernel_charge_ += spent.consumed;
+        cost += spent.total();
       }
     }
     cost += config_.costs.pd_crossing;
@@ -376,7 +339,7 @@ void Kernel::CompleteItem() {
   in_item_ = false;
 
   if (pending_consume_ > 0 || pending_precharged_ > 0) {
-    // Dynamic costs discovered inside the action (syscalls, per-byte work)
+    // Dynamic costs discovered inside the action (kernel calls, per-byte work)
     // extend the busy period before the next dispatch decision.
     Cycles pc = pending_consume_;
     pending_consume_ = 0;
@@ -414,8 +377,7 @@ void Kernel::FinishItem() {
   }
 
   Owner* owner = t->owner();
-  Cycles survivor_extra = 0;
-  Cycles survivor_pc = 0;
+  HandlerCycles survivor;
   bool over_budget = owner->max_thread_run() > 0 && t->run_since_yield_ > owner->max_thread_run();
   if (over_budget) {
     ++runaway_detections_;
@@ -435,26 +397,11 @@ void Kernel::FinishItem() {
     if (runaway_handler_) {
       // The handler typically runs pathKill, whose reclamation cost is
       // precharged; collect it and let the corresponding CPU time pass.
-      in_item_ = true;
-      pending_consume_ = 0;
-      pending_precharged_ = 0;
-      runaway_handler_(owner, t);
-      in_item_ = false;
-      Cycles extra = pending_consume_ + pending_precharged_;
-      Cycles pc = pending_consume_;
-      pending_consume_ = 0;
-      pending_precharged_ = 0;
+      HandlerCycles spent = RunPolicyHandler(runaway_handler_, t);
       if (running_ == nullptr || t->state_ == ThreadState::kDead) {
         running_ = nullptr;
-        if (extra > 0) {
-          cpu_busy_ = true;
-          busy_segment_start_ = eq_->now();
-          busy_segment_upfront_ = extra - pc;  // precharged teardown
-          eq_->ScheduleAfter(extra, [this, pc] {
-            ChargeCycles(kernel_owner_.get(), pc);
-            cpu_busy_ = false;
-            DispatchNext();
-          });
+        if (spent.total() > 0) {
+          StartKernelBilledSegment(spent.total(), spent.consumed);
           return;
         }
         cpu_busy_ = false;
@@ -464,8 +411,7 @@ void Kernel::FinishItem() {
       // The thread survived the runaway check: the handler's time passes as
       // a kernel-billed busy segment after the state transition below
       // (charging now with no elapsed time would break cycle conservation).
-      survivor_extra = extra;
-      survivor_pc = pc;
+      survivor = spent;
     }
   }
 
@@ -484,19 +430,35 @@ void Kernel::FinishItem() {
     running_ = nullptr;
   }
   // Otherwise the thread keeps the CPU: Escort threads are non-preemptive.
-  if (survivor_extra > 0) {
-    cpu_busy_ = true;
-    busy_segment_start_ = eq_->now();
-    busy_segment_upfront_ = survivor_extra - survivor_pc;
-    eq_->ScheduleAfter(survivor_extra, [this, survivor_pc] {
-      ChargeCycles(kernel_owner_.get(), survivor_pc);
-      cpu_busy_ = false;
-      DispatchNext();
-    });
+  if (survivor.total() > 0) {
+    StartKernelBilledSegment(survivor.total(), survivor.consumed);
     return;
   }
   cpu_busy_ = false;
   DispatchNext();
+}
+
+Kernel::HandlerCycles Kernel::RunPolicyHandler(const PolicyHandler& handler, Thread* t) {
+  in_item_ = true;
+  pending_consume_ = 0;
+  pending_precharged_ = 0;
+  handler(t->owner(), t);
+  in_item_ = false;
+  HandlerCycles spent{pending_consume_, pending_precharged_};
+  pending_consume_ = 0;
+  pending_precharged_ = 0;
+  return spent;
+}
+
+void Kernel::StartKernelBilledSegment(Cycles duration, Cycles kernel_charge) {
+  cpu_busy_ = true;
+  busy_segment_start_ = eq_->now();
+  busy_segment_upfront_ = duration - kernel_charge;  // precharged teardown
+  eq_->ScheduleAfter(duration, [this, kernel_charge] {
+    ChargeCycles(kernel_owner_.get(), kernel_charge);
+    cpu_busy_ = false;
+    DispatchNext();
+  });
 }
 
 void Kernel::ReapGraveyard() { graveyard_.clear(); }

@@ -1,10 +1,10 @@
 // The Escort kernel: the privileged protection domain.
 //
-// Owns the simulated server CPU and everything §3 of the paper describes:
-// the syscall surface and its ACL, owners and their accounting ledgers,
-// threads and the configured scheduler, timer events + softclock,
-// semaphores, page/kmem allocation, IOBuffers, runaway-thread detection, and
-// the owner-destruction machinery behind pathDestroy/pathKill.
+// Owns the simulated server CPU and the kernel objects §3 of the paper
+// describes: owners and their accounting ledgers, threads and the configured
+// scheduler, timer events + softclock, semaphores, page/kmem allocation,
+// IOBuffers, runaway-thread detection, and the owner-destruction machinery
+// behind pathDestroy/pathKill. Modules call its methods directly.
 //
 // Execution model (see src/kernel/thread.h): threads carry work items;
 // the kernel dispatches the next runnable thread non-preemptively, advances
@@ -23,8 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "src/kernel/acl.h"
-#include "src/kernel/device.h"
 #include "src/kernel/iobuffer.h"
 #include "src/kernel/kernel_event.h"
 #include "src/kernel/owner.h"
@@ -32,7 +30,6 @@
 #include "src/kernel/protection_domain.h"
 #include "src/kernel/scheduler.h"
 #include "src/kernel/semaphore.h"
-#include "src/kernel/syscall.h"
 #include "src/kernel/thread.h"
 #include "src/sim/cost_model.h"
 #include "src/sim/event_queue.h"
@@ -45,7 +42,7 @@ class MetricGauge;
 class MetricsRegistry;
 class Tracer;
 
-enum class SchedulerKind { kPriority, kProportionalShare, kEdf };
+enum class SchedulerKind { kPriority, kProportionalShare };
 
 struct KernelConfig {
   // Fine-grain resource accounting (the Accounting configurations). Usage is
@@ -118,16 +115,6 @@ class Kernel {
   };
   const std::map<uint64_t, AccountRecord>& account_labels() const { return account_labels_; }
 
-  // --- Devices and console ---------------------------------------------------
-  DeviceRegistry& devices() { return devices_; }
-  Console& console() { return console_; }
-
-  // --- ACL ----------------------------------------------------------------
-  AclTable& acl() { return acl_; }
-  // Checks the role (current domain, current thread's owner type) against
-  // the ACL. Denied calls are counted and return false.
-  bool CheckSyscall(PdId domain, Syscall sc);
-
   // --- Threads + CPU ---------------------------------------------------------
   Thread* CreateThread(Owner* owner, const std::string& name);
   // Called by Thread::Push; makes the thread runnable and kicks the CPU.
@@ -139,8 +126,8 @@ class Kernel {
 
   // Dynamic cost consumption: module/kernel code invoked from inside a work
   // item calls this to extend the current busy period (e.g. per-byte costs
-  // discovered at run time, syscall overheads). Outside a work item the cost
-  // is charged directly to `fallback_owner` (or the kernel) without
+  // discovered at run time, kernel-call overheads). Outside a work item the
+  // cost is charged directly to `fallback_owner` (or the kernel) without
   // advancing time (boot-time setup).
   void Consume(Cycles cost);
   // Consume + the accounting surcharge if accounting is enabled.
@@ -151,8 +138,6 @@ class Kernel {
   // teardown is charged to the dying path, not to whichever thread noticed
   // the connection finished).
   void ConsumePrechargedTo(Owner* owner, Cycles cost);
-  // Adds the syscall trap overhead when called from an unprivileged domain.
-  void ConsumeSyscall(PdId from_domain);
 
   Thread* current_thread() { return running_; }
 
@@ -193,10 +178,13 @@ class Kernel {
   // the containment requirement).
   Cycles DestroyOwner(Owner* owner, int pd_count);
 
+  // Policy handlers get the offending owner and thread. They run between
+  // work items; the cycles they consume are billed to the kernel owner.
+  using PolicyHandler = std::function<void(Owner*, Thread*)>;
+
   // Handler invoked when a thread exceeds its owner's max-run-without-yield
   // budget. Installed by the policy layer; default kills nothing.
-  using RunawayHandler = std::function<void(Owner*, Thread*)>;
-  void set_runaway_handler(RunawayHandler h) { runaway_handler_ = std::move(h); }
+  void set_runaway_handler(PolicyHandler h) { runaway_handler_ = std::move(h); }
   uint64_t runaway_detections() const { return runaway_detections_; }
 
   // Ledger watch: consulted at the same kernel entry as the run budget
@@ -264,8 +252,7 @@ class Kernel {
   // item is dropped (trap with no handler); the fault handler, if any, is
   // invoked with the offender.
   uint64_t crossing_violations() const { return crossing_violations_; }
-  using FaultHandler = std::function<void(Owner*, Thread*)>;
-  void set_fault_handler(FaultHandler h) { fault_handler_ = std::move(h); }
+  void set_fault_handler(PolicyHandler h) { fault_handler_ = std::move(h); }
   Cycles accounting_overhead_cycles() const { return accounting_overhead_cycles_; }
 
  private:
@@ -279,6 +266,20 @@ class Kernel {
   // Runs the action of the item whose busy period just ended.
   void CompleteItem();
   void FinishItem();
+  // Cycles a policy handler spent: `consumed` is owed by the kernel once
+  // the matching time has passed; `precharged` (teardown) is already
+  // billed and only needs the time to pass.
+  struct HandlerCycles {
+    Cycles consumed = 0;
+    Cycles precharged = 0;
+    Cycles total() const { return consumed + precharged; }
+  };
+  // Runs `handler` for `t` inside the item window (so its Consume calls
+  // accumulate) and returns what it spent.
+  HandlerCycles RunPolicyHandler(const PolicyHandler& handler, Thread* t);
+  // Keeps the CPU busy for `duration` cycles, then charges the kernel owner
+  // `kernel_charge` of them (the rest was precharged) and dispatches.
+  void StartKernelBilledSegment(Cycles duration, Cycles kernel_charge);
   void ScheduleSoftclock();
   void SoftclockTick();
   void FireEvent(KernelEvent* ev);
@@ -287,9 +288,6 @@ class Kernel {
 
   EventQueue* const eq_;
   KernelConfig config_;
-  AclTable acl_;
-  DeviceRegistry devices_{this};
-  Console console_{this};
   PageAllocator pages_;
   IoBufferManager iob_;
   std::unique_ptr<Scheduler> scheduler_;
@@ -336,10 +334,10 @@ class Kernel {
   bool softclock_event_id_valid_ = false;
   std::map<Owner*, Thread*> event_threads_;
 
-  RunawayHandler runaway_handler_;
+  PolicyHandler runaway_handler_;
   LedgerWatch ledger_watch_;
   uint64_t runaway_detections_ = 0;
-  FaultHandler fault_handler_;
+  PolicyHandler fault_handler_;
   uint64_t crossing_violations_ = 0;
   Auditor* auditor_ = nullptr;
   Tracer* tracer_ = nullptr;

@@ -61,9 +61,6 @@ struct SchedState {
   uint64_t tickets = 100;
   uint64_t pass = 0;        // virtual time; owner with smallest pass runs next
   bool pass_initialized = false;
-  // EDF scheduler: relative deadline (period); 0 means best-effort backlog.
-  Cycles period = 0;
-  Cycles next_deadline = 0;
 };
 
 // Owners (paths, protection domains) are destroyed by pathDestroy/pathKill

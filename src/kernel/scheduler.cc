@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <limits>
 
 namespace escort {
 
@@ -113,42 +112,5 @@ void ProportionalShareScheduler::AccountRun(Thread* t, Cycles used) {
 }
 
 bool ProportionalShareScheduler::Empty() const { return ready_.empty(); }
-
-// --- EdfScheduler -------------------------------------------------------------
-
-void EdfScheduler::Enqueue(Thread* t) {
-  SchedState& s = t->owner()->sched();
-  if (s.period != 0 && s.next_deadline <= *now_) {
-    s.next_deadline = *now_ + s.period;
-  }
-  ready_.push_back(t);
-}
-
-Thread* EdfScheduler::Dequeue() {
-  if (ready_.empty()) {
-    return nullptr;
-  }
-  auto best = ready_.end();
-  Cycles best_deadline = std::numeric_limits<Cycles>::max();
-  for (auto it = ready_.begin(); it != ready_.end(); ++it) {
-    const SchedState& s = (*it)->owner()->sched();
-    Cycles deadline =
-        s.period == 0 ? std::numeric_limits<Cycles>::max() - 1 : s.next_deadline;
-    if (deadline < best_deadline) {
-      best_deadline = deadline;
-      best = it;
-    }
-  }
-  if (best == ready_.end()) {
-    best = ready_.begin();
-  }
-  Thread* t = *best;
-  ready_.erase(best);
-  return t;
-}
-
-void EdfScheduler::Remove(Thread* t) { EraseFrom(ready_, t); }
-
-bool EdfScheduler::Empty() const { return ready_.empty(); }
 
 }  // namespace escort

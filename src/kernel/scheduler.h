@@ -1,9 +1,9 @@
 // Thread schedulers. Escort configures the scheduler at build time (paper
-// §3.2): a priority scheduler, a proportional-share scheduler (used for the
-// QoS experiments), and an EDF scheduler.
+// §3.2): a priority scheduler and a proportional-share scheduler (used for
+// the QoS experiments and by the web server).
 //
 // Scheduling state lives in the *owner* (paper Figure 4): all threads of an
-// owner share its priority / ticket allocation / deadline.
+// owner share its priority / ticket allocation.
 
 #ifndef SRC_KERNEL_SCHEDULER_H_
 #define SRC_KERNEL_SCHEDULER_H_
@@ -96,24 +96,6 @@ class ProportionalShareScheduler : public Scheduler {
   std::vector<Entry> ready_;
   uint64_t next_seq_ = 0;
   uint64_t global_pass_ = 0;
-};
-
-// Earliest-deadline-first. Owners with period 0 run as best-effort backlog
-// behind all deadline owners.
-class EdfScheduler : public Scheduler {
- public:
-  explicit EdfScheduler(const Cycles* now) : now_(now) {}
-
-  void Enqueue(Thread* t) override;
-  Thread* Dequeue() override;
-  void Remove(Thread* t) override;
-  void AccountRun(Thread* /*t*/, Cycles /*used*/) override {}
-  bool Empty() const override;
-  const char* name() const override { return "edf"; }
-
- private:
-  const Cycles* now_;
-  std::deque<Thread*> ready_;
 };
 
 }  // namespace escort

@@ -371,7 +371,6 @@ void TcpModule::AcceptSyn(TcpListener* listener, const TcpHeader& syn, Ip4Addr p
     return;
   }
   path->sched().tickets = listener->active_tickets;
-  path->sched().priority = listener->active_priority;
   if (listener->active_max_run != 0) {
     path->set_max_thread_run(listener->active_max_run);
   }

@@ -76,7 +76,6 @@ struct TcpListener {
   std::string active_label = "Main Active Path";
   uint64_t active_tickets = 100;
   Cycles active_max_run = 0;
-  int active_priority = 0;
 
   // Half-open (SYN_RECVD) hold time override for connections accepted by
   // this listener; 0 uses the module default. A long hold on a budgeted

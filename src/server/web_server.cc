@@ -86,19 +86,14 @@ EscortWebServer::EscortWebServer(EventQueue* eq, SharedLink* link, WebServerOpti
     fs_->AddDocument(doc.name, doc.size);
   }
 
-  // Listeners (passive paths). With split_listeners the SYN policy gets a
-  // trusted and an untrusted passive path; the untrusted one is budgeted.
-  if (options_.split_listeners) {
-    trusted_listener_ = tcp_->Listen(80, options_.trusted_subnet);
-    untrusted_listener_ = tcp_->Listen(80, Subnet{Ip4Addr{0}, 0});
-    untrusted_listener_->syn_limit = options_.untrusted_syn_limit;
-    // Slow-walk untrusted half-open connections: accepted-SYN rate under a
-    // flood is budget/hold, so the long hold bounds the amplification.
-    untrusted_listener_->syn_recvd_timeout = CyclesFromMillis(1500);
-  } else {
-    trusted_listener_ = tcp_->Listen(80, Subnet{Ip4Addr{0}, 0});
-    untrusted_listener_ = trusted_listener_;
-  }
+  // Listeners (passive paths): the SYN policy gets a trusted and an
+  // untrusted passive path; the untrusted one is budgeted.
+  trusted_listener_ = tcp_->Listen(80, options_.trusted_subnet);
+  untrusted_listener_ = tcp_->Listen(80, Subnet{Ip4Addr{0}, 0});
+  untrusted_listener_->syn_limit = options_.untrusted_syn_limit;
+  // Slow-walk untrusted half-open connections: accepted-SYN rate under a
+  // flood is budget/hold, so the long hold bounds the amplification.
+  untrusted_listener_->syn_recvd_timeout = CyclesFromMillis(1500);
   for (TcpListener* l : {trusted_listener_, untrusted_listener_}) {
     l->active_label = "Main Active Path";
     l->active_tickets = options_.active_tickets;
@@ -118,21 +113,14 @@ EscortWebServer::EscortWebServer(EventQueue* eq, SharedLink* link, WebServerOpti
         violation_hook_(Ip4Addr{static_cast<uint32_t>(*raddr)});
       }
     }
-    Cycles cost = paths_->Kill(path);
-    ++paths_killed_;
-    MetricAdd(m_paths_killed_);
-    kill_cost_cycles_.Add(static_cast<double>(cost));
+    KillPathForViolation(path);
   });
   // Protection faults (illegal domain crossing) get the same treatment.
   kernel_->set_fault_handler([this](Owner* owner, Thread* /*t*/) {
     if (owner->type() != OwnerType::kPath) {
       return;
     }
-    auto* path = static_cast<Path*>(owner);
-    Cycles cost = paths_->Kill(path);
-    ++paths_killed_;
-    MetricAdd(m_paths_killed_);
-    kill_cost_cycles_.Add(static_cast<double>(cost));
+    KillPathForViolation(static_cast<Path*>(owner));
   });
 }
 
@@ -162,26 +150,6 @@ Cycles EscortWebServer::KillPathForViolation(Path* path) {
   MetricAdd(m_paths_killed_);
   kill_cost_cycles_.Add(static_cast<double>(cost));
   return cost;
-}
-
-void EscortWebServer::ConfigureQosListener(TcpListener* listener) {
-  listener->active_label = "QoS Path";
-  listener->active_tickets = options_.qos_tickets;
-  if (MetricsRegistry* m = kernel_->metrics(); m != nullptr) {
-    m_qos_tickets_ = ESCORT_METRIC_GAUGE(m, "policy.qos_tickets",
-                                         "proportional-share tickets for QoS paths");
-    m_qos_tickets_->Set(static_cast<int64_t>(options_.qos_tickets));
-  }
-  Tracer* t = kernel_->tracer();
-  if (t != nullptr) {
-    // QoS throttling is ticket-based: record the share decision so the
-    // timeline explains why QoS paths outrun best-effort ones.
-    t->Instant(kernel_->now(), "policy", "qos-tickets", "policy",
-               {{"tickets", Tracer::Num(options_.qos_tickets)}});
-  }
-  // A QoS stream legitimately consumes CPU for long stretches; exempt it
-  // from the runaway budget (it yields at every hop anyway).
-  listener->active_max_run = 0;
 }
 
 }  // namespace escort

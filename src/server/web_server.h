@@ -51,9 +51,8 @@ struct WebServerOptions {
   MacAddr mac = MacAddr::FromIndex(1);
   Ip4Addr ip = Ip4Addr::FromOctets(10, 0, 0, 1);
 
-  // SYN policy: when true, two passive paths are configured — one for the
-  // trusted subnet (unlimited) and one for everything else, budgeted.
-  bool split_listeners = true;
+  // SYN policy: two passive paths — one for the trusted subnet (unlimited)
+  // and one for everything else, budgeted.
   Subnet trusted_subnet = Subnet{Ip4Addr::FromOctets(10, 0, 0, 0), 8};
   uint32_t untrusted_syn_limit = 4;
 
@@ -61,9 +60,9 @@ struct WebServerOptions {
   // without a yield and their path is killed (0 disables).
   Cycles active_max_run = CyclesFromMillis(2.0);
 
-  // Proportional-share tickets for regular active paths and for QoS paths.
+  // Proportional-share tickets for regular active paths (QoS paths take
+  // theirs from HttpServerModule::qos_tickets).
   uint64_t active_tickets = 100;
-  uint64_t qos_tickets = 12'000;
 
   // Documents published by the file system at boot.
   struct Doc {
@@ -109,17 +108,16 @@ class EscortWebServer : public NetEndpoint {
   TcpListener* trusted_listener() { return trusted_listener_; }
   TcpListener* untrusted_listener() { return untrusted_listener_; }
 
-  // Marks a listener's future active paths as QoS paths (label + tickets).
-  void ConfigureQosListener(TcpListener* listener);
-
   // DoS bookkeeping.
   uint64_t paths_killed() const { return paths_killed_; }
   Samples& kill_cost_cycles() { return kill_cost_cycles_; }
 
-  // pathKill on behalf of a detection policy (src/server/detect.h):
-  // charges the standard kill bookkeeping but does NOT invoke the
-  // violation hook — the detector records its own violation, so the strike
-  // would otherwise be double-counted. Returns the reclamation cost.
+  // pathKill plus the standard kill bookkeeping (count, metric, cost
+  // sample). The runaway and fault handlers and the detection policies
+  // (src/server/detect.h) all kill through here. It does NOT invoke the
+  // violation hook: the runaway handler calls the hook itself, and a
+  // detector records its own violation, so the strike would otherwise be
+  // double-counted. Returns the reclamation cost.
   Cycles KillPathForViolation(Path* path);
 
   // Memory footprint of the server-side connection table (slab-indexed
@@ -165,7 +163,6 @@ class EscortWebServer : public NetEndpoint {
   Samples kill_cost_cycles_;
   std::function<void(Ip4Addr)> violation_hook_;
   MetricCounter* m_paths_killed_ = nullptr;
-  MetricGauge* m_qos_tickets_ = nullptr;
 };
 
 }  // namespace escort

@@ -80,7 +80,6 @@ struct CostModel {
   Cycles thread_dispatch = 600;   // scheduler decision + context load
   Cycles semaphore_op = 300;
   Cycles event_register = 600;
-  Cycles syscall_overhead = 450;  // trap in/out of the privileged domain
 
   // --- Accounting (the 8%) -------------------------------------------------
   // Extra cycles per ownership charge/uncharge when accounting is enabled.
@@ -104,9 +103,6 @@ struct CostModel {
   Cycles tcp_master_event = 380;     // per TCP master-event firing (TCP's PD)
   Cycles softclock_period_ms = 1;    // softclock granularity
 
-  // --- Runaway detection -----------------------------------------------------
-  Cycles max_thread_run_default = CyclesFromMillis(2.0);  // 2 ms, per paper
-
   // --- Linux/Apache comparator (calibrated model, see DESIGN.md §2) ---------
   Cycles linux_request_cpu = 730'000;      // ~400 conn/s peak at 300 MHz
   Cycles linux_request_per_byte = 4;       // weaker zero-copy story
@@ -123,7 +119,6 @@ struct NetworkModel {
   double link_bandwidth_bps = 100e6;  // 100 Mbps Ethernet
   Cycles client_link_latency = CyclesFromMicros(120);  // client NIC->switch->hub
   Cycles server_link_latency = CyclesFromMicros(60);   // hub->server NIC
-  uint32_t mtu = 1460;                                 // TCP payload per segment
   Cycles client_processing = CyclesFromMicros(2000);   // client-side per req/resp
 
   static const NetworkModel& Calibrated();

@@ -66,7 +66,7 @@ class EventQueue {
   Cycles now() const { return now_; }
 
   // Stable reference to the clock, for components that need to observe time
-  // without holding the whole queue (e.g. the EDF scheduler).
+  // without holding the whole queue (e.g. a test's event sink).
   const Cycles& now_ref() const { return now_; }
 
   // Schedules `fn` to run at absolute time `when`. Times in the past are

@@ -35,9 +35,6 @@
 namespace escort {
 
 struct MetricsConfig {
-  // Standalone JSON document path (--metrics PATH). Empty: no standalone
-  // file; the registry still feeds the bench-JSON `incidents` block.
-  std::string path;
   // Sampling period for counter/gauge series and the health monitor.
   Cycles sample_interval = CyclesFromMillis(5.0);
   // Histogram bucket count: bucket 0 holds value 0, bucket k>0 holds

@@ -221,10 +221,6 @@ bool Tracer::WriteFile(const std::string& path, const std::string& content) {
   return written == content.size() && rc == 0;
 }
 
-bool Tracer::WriteStandalone() const {
-  return WriteFile(config_.path, SerializeStandalone());
-}
-
 void Tracer::DumpFlight(const std::string& reason, Cycles ts) {
   std::string out;
   AppendDocumentHead(&out);

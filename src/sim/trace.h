@@ -34,10 +34,12 @@
 
 namespace escort {
 
-// Output locations. `path` empty = disabled. The ledger counter tracks
-// are sampled by the metrics tick (MetricsConfig::sample_interval).
+// Output locations. Tracing is on wherever a component holds a Tracer; the
+// owner of the tracers writes the trace document (the sweep runner merges
+// every cell into one file). The ledger counter tracks are sampled by the
+// metrics tick (MetricsConfig::sample_interval).
 struct TraceConfig {
-  std::string path;  // Chrome trace JSON output; empty disables tracing
+  std::string path;  // the trace document; names the default flight dump
 
   // Flight recorder: ring capacity and dump location (empty = derive
   // `path + ".flight.json"`; empty with an empty `path` = keep the dump
@@ -45,7 +47,6 @@ struct TraceConfig {
   size_t flight_capacity = 256;
   std::string flight_path;
 
-  bool enabled() const { return !path.empty(); }
   std::string ResolvedFlightPath() const {
     if (flight_path.empty() && !path.empty()) {
       return path + ".flight.json";
@@ -105,8 +106,6 @@ class Tracer {
   std::string SerializeEvents(uint32_t pid, const std::string& process_name) const;
   // Complete single-process trace document.
   std::string SerializeStandalone() const;
-  // Writes SerializeStandalone() to config().path. Returns false on I/O error.
-  bool WriteStandalone() const;
 
   // Wraps pre-serialized per-process fragments into one trace document
   // (the sweep runner merges per-cell tracers in grid order with this).

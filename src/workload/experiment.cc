@@ -261,13 +261,7 @@ ExperimentResult RunExperiment(const ExperimentSpec& spec) {
   double warmup_s = EnvSeconds("ESCORT_WARMUP_S", spec.warmup_s);
   double window_s = EnvSeconds("ESCORT_WINDOW_S", spec.window_s);
 
-  // Tracing: use the caller's sink (sweep cells) or own one for the run.
-  std::unique_ptr<Tracer> owned_tracer;
   Tracer* tracer = spec.tracer;
-  if (tracer == nullptr && spec.trace.enabled()) {
-    owned_tracer = std::make_unique<Tracer>(spec.trace);
-    tracer = owned_tracer.get();
-  }
 
   // Metrics: use the caller's registry (sweep cells) or own one for the
   // run. On by default — the health monitor needs the registry, and the
@@ -407,22 +401,9 @@ ExperimentResult RunExperiment(const ExperimentSpec& spec) {
     if (tb->server != nullptr) {
       tb->server->kernel().set_tracer(nullptr);
     }
-    if (owned_tracer != nullptr) {
-      owned_tracer->WriteStandalone();
-    }
   }
   if (health != nullptr) {
     r.incidents = health->incidents();
-  }
-  if (owned_metrics != nullptr && !spec.metrics.path.empty()) {
-    // Tear the testbed down first so the document includes teardown-time
-    // bookkeeping exactly like a sweep-merged cell does (the sweep
-    // serializes after RunExperiment returns). Teardown order is
-    // deterministic, so this stays byte-stable.
-    health.reset();
-    tb.reset();
-    Tracer::WriteFile(spec.metrics.path,
-                      MetricsRegistry::WrapDocument({owned_metrics->SerializeCell("run")}));
   }
   return r;
 }

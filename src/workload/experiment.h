@@ -34,18 +34,15 @@ struct ExperimentSpec {
   DetectSpec detect;
   WebServerOptions server_options;         // config/scheduler filled in by Run
 
-  // Deterministic tracing (src/sim/trace.h). `trace.path` empty = off.
-  // When `tracer` is null and tracing is on, RunExperiment owns a Tracer
-  // and writes `trace.path` itself; the sweep runner instead passes a
-  // per-cell sink here and merges all cells into one trace document.
-  TraceConfig trace;
+  // Deterministic tracing (src/sim/trace.h): null = off. The sweep runner
+  // passes a per-cell sink and merges all cells into one trace document.
   Tracer* tracer = nullptr;                // not owned
 
   // Deterministic metrics plane (src/sim/metrics.h). Collection is on by
   // default — the registry feeds the HealthMonitor, so incidents land in
-  // the bench JSON even without --metrics. A standalone JSON document is
-  // written only when `metrics.path` is set (or the sweep runner passes a
-  // per-cell `metrics_registry` sink and merges the cells itself).
+  // the bench JSON even without --metrics. RunExperiment writes no file:
+  // for --metrics the sweep runner passes a per-cell `metrics_registry`
+  // sink and merges the cells into one document itself.
   MetricsConfig metrics;
   MetricsRegistry* metrics_registry = nullptr;  // not owned
   bool collect_metrics = true;

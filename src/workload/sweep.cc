@@ -229,7 +229,6 @@ void Sweep::Run(const SweepOptions& opts) {
       tc.path = opts.trace_path;
       tc.flight_path = opts.trace_path + "." + PathSafe(cells_[i].id) + ".flight.json";
       tracers[i] = std::make_unique<Tracer>(tc);
-      cells_[i].spec.trace = tc;
       cells_[i].spec.tracer = tracers[i].get();
     }
   }
@@ -241,10 +240,7 @@ void Sweep::Run(const SweepOptions& opts) {
   if (!opts.metrics_path.empty()) {
     registries.resize(cells_.size());
     for (size_t i = 0; i < cells_.size(); ++i) {
-      MetricsConfig mc;
-      mc.path = opts.metrics_path;
-      registries[i] = std::make_unique<MetricsRegistry>(mc);
-      cells_[i].spec.metrics = mc;
+      registries[i] = std::make_unique<MetricsRegistry>(cells_[i].spec.metrics);
       cells_[i].spec.metrics_registry = registries[i].get();
     }
   }

@@ -264,5 +264,147 @@ TEST_F(KernelCoreTest, PrechargeChargesTargetOwnerAndAdvancesTime) {
   EXPECT_EQ(ledger.Total(), eq_.now() - kernel_.start_time());
 }
 
+// --- Policy-handler billing ----------------------------------------------------
+// Fault and runaway handlers run inside the kernel between work items. The
+// cycles they consume are billed to the kernel owner once the matching CPU
+// time has passed, so the Table 1 invariant must hold after every event,
+// and the CPU must go on to the next queued thread.
+
+constexpr Cycles kHandlerConsume = 9'000;
+constexpr Cycles kHandlerPrecharge = 4'000;
+
+// Runs `eq` dry, checking after every event that each elapsed cycle is
+// either charged to an owner or part of the in-flight busy segment.
+void RunCheckingConservation(EventQueue& eq, Kernel& k) {
+  while (eq.Step()) {
+    int64_t accounted = static_cast<int64_t>(k.Snapshot().Total()) + k.UnsettledBusyCycles() -
+                        k.unsettled_at_reset();
+    ASSERT_EQ(accounted, static_cast<int64_t>(eq.now() - k.start_time()))
+        << "at cycle " << eq.now();
+  }
+}
+
+// A protection-domain kernel with a rogue owner whose thread makes an
+// illegal pd1 -> pd2 crossing, and a bystander thread queued behind it.
+class FaultBillingTest : public ::testing::Test {
+ protected:
+  FaultBillingTest() : kernel_(&eq_, PdConfig()) {
+    pd1_ = kernel_.CreateDomain("m1")->pd_id();
+    pd2_ = kernel_.CreateDomain("m2")->pd_id();
+    kernel_.RegisterOwner(&rogue_, "rogue");
+    kernel_.RegisterOwner(&bystander_, "bystander");
+  }
+
+  static KernelConfig PdConfig() {
+    KernelConfig kc = QuietConfig();
+    kc.protection_domains = true;
+    return kc;
+  }
+
+  // Queues the faulting work, then one bystander item; the rogue thread
+  // holds the CPU (its items do not yield) until the fault.
+  Thread* QueueFaultingWork() {
+    Thread* t = kernel_.CreateThread(&rogue_, "rogue");
+    t->Push(100, pd1_, nullptr);
+    t->Push(100, pd2_, [this] { ++dropped_item_runs_; });  // pd1 -> pd2: illegal
+    t->Push(100, kKernelDomain, [this] { rogue_ran_after_fault_ = true; });
+    Thread* b = kernel_.CreateThread(&bystander_, "bystander");
+    b->Push(100, kKernelDomain, [this] { bystander_ran_ = true; });
+    return t;
+  }
+
+  EventQueue eq_;
+  Kernel kernel_;
+  PdId pd1_ = kKernelDomain;
+  PdId pd2_ = kKernelDomain;
+  Owner rogue_{OwnerType::kKernel, kernel_.NextOwnerId(), "rogue"};
+  Owner bystander_{OwnerType::kKernel, kernel_.NextOwnerId(), "bystander"};
+  int dropped_item_runs_ = 0;
+  bool rogue_ran_after_fault_ = false;
+  bool bystander_ran_ = false;
+};
+
+TEST_F(FaultBillingTest, HandlerThatStopsTheThreadBillsTheKernelAfterTheDelay) {
+  kernel_.set_fault_handler([this](Owner* o, Thread* t) {
+    kernel_.Consume(kHandlerConsume);
+    kernel_.ConsumePrechargedTo(o, kHandlerPrecharge);
+    kernel_.StopThread(t);
+  });
+  QueueFaultingWork();
+  RunCheckingConservation(eq_, kernel_);
+
+  EXPECT_EQ(kernel_.crossing_violations(), 1u);
+  EXPECT_TRUE(rogue_.threads().empty());  // StopThread unlinked it
+  EXPECT_EQ(dropped_item_runs_, 0);
+  EXPECT_FALSE(rogue_ran_after_fault_);
+  // The dropped item's trap is the kernel's, like the handler's own work.
+  EXPECT_EQ(kernel_.kernel_owner()->usage().cycles,
+            kHandlerConsume + kernel_.costs().pd_crossing);
+  EXPECT_TRUE(bystander_ran_);
+}
+
+TEST_F(FaultBillingTest, HandlerWhoseThreadSurvivesBillsTheKernelAtItemEnd) {
+  kernel_.set_fault_handler([this](Owner*, Thread*) { kernel_.Consume(kHandlerConsume); });
+  Thread* t = QueueFaultingWork();
+  RunCheckingConservation(eq_, kernel_);
+
+  EXPECT_EQ(kernel_.crossing_violations(), 1u);
+  EXPECT_NE(t->state(), ThreadState::kDead);
+  EXPECT_EQ(dropped_item_runs_, 0);
+  EXPECT_TRUE(rogue_ran_after_fault_);
+  EXPECT_EQ(kernel_.kernel_owner()->usage().cycles, kHandlerConsume);
+  EXPECT_TRUE(bystander_ran_);
+}
+
+// A victim owner with a 10k-cycle run budget whose thread overruns it on
+// its third non-yielding item, and a bystander thread queued behind it.
+class RunawayBillingTest : public KernelCoreTest {
+ protected:
+  RunawayBillingTest() {
+    kernel_.RegisterOwner(&victim_, "victim");
+    kernel_.RegisterOwner(&bystander_, "bystander");
+    victim_.set_max_thread_run(10'000);
+  }
+
+  Thread* QueueRunawayWork(int items) {
+    Thread* t = kernel_.CreateThread(&victim_, "loop");
+    for (int i = 0; i < items; ++i) {
+      t->Push(4000, kKernelDomain, [this] { ++victim_items_run_; }, /*yields=*/false);
+    }
+    Thread* b = kernel_.CreateThread(&bystander_, "bystander");
+    b->Push(100, kKernelDomain, [this] { bystander_ran_ = true; });
+    return t;
+  }
+
+  Owner victim_{OwnerType::kKernel, kernel_.NextOwnerId(), "victim"};
+  Owner bystander_{OwnerType::kKernel, kernel_.NextOwnerId(), "bystander"};
+  int victim_items_run_ = 0;
+  bool bystander_ran_ = false;
+};
+
+TEST_F(RunawayBillingTest, HandlerThatStopsTheThreadWithoutConsumingFreesTheCpu) {
+  kernel_.set_runaway_handler([this](Owner*, Thread* t) { kernel_.StopThread(t); });
+  QueueRunawayWork(4);
+  RunCheckingConservation(eq_, kernel_);
+
+  EXPECT_EQ(kernel_.runaway_detections(), 1u);
+  EXPECT_TRUE(victim_.threads().empty());  // StopThread unlinked it
+  EXPECT_EQ(victim_items_run_, 3);  // the fourth item died with the thread
+  EXPECT_EQ(kernel_.kernel_owner()->usage().cycles, 0u);
+  EXPECT_TRUE(bystander_ran_);
+}
+
+TEST_F(RunawayBillingTest, HandlerWhoseThreadSurvivesBillsTheKernelAfterTheDelay) {
+  kernel_.set_runaway_handler([this](Owner*, Thread*) { kernel_.Consume(kHandlerConsume); });
+  Thread* t = QueueRunawayWork(3);
+  RunCheckingConservation(eq_, kernel_);
+
+  EXPECT_EQ(kernel_.runaway_detections(), 1u);
+  EXPECT_NE(t->state(), ThreadState::kDead);
+  EXPECT_EQ(victim_items_run_, 3);
+  EXPECT_EQ(kernel_.kernel_owner()->usage().cycles, kHandlerConsume);
+  EXPECT_TRUE(bystander_ran_);
+}
+
 }  // namespace
 }  // namespace escort

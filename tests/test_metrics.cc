@@ -278,7 +278,9 @@ TEST(MetricsDeterminismTest, CollectionDoesNotPerturbResults) {
     EXPECT_EQ(a.ledger.totals(), b.ledger.totals()) << ctx;
     // With collection on, the monitor reports; off, it cannot.
     EXPECT_TRUE(b.incidents.empty()) << ctx;
-    if (attack) EXPECT_FALSE(a.incidents.empty()) << ctx;
+    if (attack) {
+      EXPECT_FALSE(a.incidents.empty()) << ctx;
+    }
   }
 }
 

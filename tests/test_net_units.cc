@@ -114,13 +114,11 @@ TEST_P(SchedulerSweep, WebServerWorksUnderEveryScheduler) {
 
 INSTANTIATE_TEST_SUITE_P(AllSchedulers, SchedulerSweep,
                          ::testing::Values(SchedulerKind::kPriority,
-                                           SchedulerKind::kProportionalShare,
-                                           SchedulerKind::kEdf),
+                                           SchedulerKind::kProportionalShare),
                          [](const ::testing::TestParamInfo<SchedulerKind>& pinfo) {
                            switch (pinfo.param) {
                              case SchedulerKind::kPriority: return "priority";
                              case SchedulerKind::kProportionalShare: return "stride";
-                             case SchedulerKind::kEdf: return "edf";
                            }
                            return "?";
                          });

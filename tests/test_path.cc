@@ -1,10 +1,9 @@
 // Path architecture tests: pathCreate/pathDestroy/pathKill, stages,
 // destructor ordering, reference counting, crossings, module graph typing,
-// demux engine, filters.
+// demux engine.
 
 #include <gtest/gtest.h>
 
-#include "src/path/filter.h"
 #include "src/path/path_manager.h"
 #include "src/sim/metrics.h"
 
@@ -64,6 +63,20 @@ class EchoModule : public Module {
  private:
   Module* next_ = nullptr;
   std::vector<std::string>* destroy_log_;
+};
+
+// A module that offers only the file-access interface.
+class FileAccessModule : public Module {
+ public:
+  explicit FileAccessModule(std::string name)
+      : Module(std::move(name), {ServiceInterface::kFileAccess}) {}
+
+  OpenResult Open(Path* /*path*/, const Attributes& /*attrs*/) override {
+    OpenResult r;
+    r.ok = true;
+    return r;
+  }
+  void Process(Stage& /*stage*/, Message /*msg*/, Direction /*dir*/) override {}
 };
 
 class PathTest : public ::testing::Test {
@@ -287,43 +300,13 @@ TEST_F(PathTest, DistinctDomainCountAndCrossings) {
 
 TEST_F(PathTest, ModuleGraphRejectsUntypedEdges) {
   ModuleGraph graph(kernel_.get());
-  auto* file_mod = graph.Add(
-      std::make_unique<FilterModule>("f", ServiceInterface::kFileAccess, nullptr,
-                                     [](const Message&, Direction) { return true; }),
-      kKernelDomain);
+  auto* file_mod = graph.Add(std::make_unique<FileAccessModule>("f"), kKernelDomain);
   auto* io_mod = graph.Add(std::make_unique<EchoModule>("io"), kKernelDomain);
-  // EchoModule supports only kAsyncIo; the filter only kFileAccess.
+  // EchoModule supports only kAsyncIo; FileAccessModule only kFileAccess.
   EXPECT_FALSE(graph.Connect(file_mod, io_mod, ServiceInterface::kFileAccess));
   EXPECT_FALSE(graph.Connect(file_mod, io_mod, ServiceInterface::kAsyncIo));
   EXPECT_FALSE(graph.Connected(file_mod, io_mod));
 }
-
-TEST_F(PathTest, FilterDropsDisallowedTraffic) {
-  // Insert a filter between A and B that blocks down-direction traffic.
-  auto filter_mod = std::make_unique<FilterModule>(
-      "only-up", ServiceInterface::kAsyncIo, b_,
-      [](const Message&, Direction d) { return d == Direction::kUp; });
-  auto* filter = graph_->Add(std::move(filter_mod), kKernelDomain);
-  a_->SetNext(filter);
-  graph_->Connect(a_, filter, ServiceInterface::kAsyncIo);
-  graph_->Connect(filter, b_, ServiceInterface::kAsyncIo);
-
-  Path* p = manager_->Create(a_, Attributes{}, "filtered");
-  ASSERT_NE(p, nullptr);
-  ASSERT_EQ(p->stages().size(), 4u);  // A, filter, B, C
-
-  p->DeliverAt(0, Direction::kUp, NewMessage());
-  eq_.RunToCompletion();
-  EXPECT_EQ(b_->processed, 1);
-  EXPECT_EQ(filter->passed(), 1u);
-
-  p->DeliverAt(3, Direction::kDown, NewMessage());
-  eq_.RunToCompletion();
-  // The filter blocks the down direction: A never sees it.
-  EXPECT_EQ(filter->dropped(), 1u);
-  EXPECT_EQ(a_->processed, 1);
-}
-
 
 TEST_F(PathTest, TerminationDomainLimitsReadMappings) {
   // Paper §3.3: a termination domain caps how far along the path a

@@ -1,6 +1,6 @@
-// Scheduler tests: priority ordering, proportional-share (stride) ratios,
-// EDF deadline ordering. The proportional-share property test is the
-// foundation of the QoS experiments (Figures 10 and 11).
+// Scheduler tests: priority ordering and proportional-share (stride)
+// ratios. The proportional-share property test is the foundation of the QoS
+// experiments (Figures 10 and 11).
 
 #include <gtest/gtest.h>
 
@@ -162,45 +162,8 @@ TEST(StrideScheduler, ReservationSurvivesBlocking) {
   EXPECT_GT(got, 0.55);
 }
 
-TEST(EdfScheduler, EarlierDeadlineRunsFirst) {
-  SchedFixture f(SchedulerKind::kEdf);
-  Owner* slow = f.NewOwner("slow");
-  Owner* fast = f.NewOwner("fast");
-  slow->sched().period = CyclesFromMillis(100);
-  fast->sched().period = CyclesFromMillis(1);
-
-  std::vector<char> order;
-  Thread* ts = f.kernel->CreateThread(slow, "s");
-  Thread* tf = f.kernel->CreateThread(fast, "f");
-  f.EnqueueWhileBusy([&] {
-    ts->Push(100, kKernelDomain, [&] { order.push_back('s'); }, true);
-    tf->Push(100, kKernelDomain, [&] { order.push_back('f'); }, true);
-  });
-  f.eq.RunToCompletion();
-  EXPECT_EQ(order, (std::vector<char>{'f', 's'}));
-}
-
-TEST(EdfScheduler, BestEffortRunsAfterDeadlineOwners) {
-  SchedFixture f(SchedulerKind::kEdf);
-  Owner* rt = f.NewOwner("rt");
-  Owner* be = f.NewOwner("be");
-  rt->sched().period = CyclesFromMillis(5);
-  be->sched().period = 0;  // best-effort backlog
-
-  std::vector<char> order;
-  Thread* t1 = f.kernel->CreateThread(be, "be");
-  Thread* t2 = f.kernel->CreateThread(rt, "rt");
-  f.EnqueueWhileBusy([&] {
-    t1->Push(100, kKernelDomain, [&] { order.push_back('b'); }, true);
-    t2->Push(100, kKernelDomain, [&] { order.push_back('r'); }, true);
-  });
-  f.eq.RunToCompletion();
-  EXPECT_EQ(order, (std::vector<char>{'r', 'b'}));
-}
-
 TEST(Schedulers, RemoveDropsThreadFromReadyQueue) {
-  for (SchedulerKind kind : {SchedulerKind::kPriority, SchedulerKind::kProportionalShare,
-                             SchedulerKind::kEdf}) {
+  for (SchedulerKind kind : {SchedulerKind::kPriority, SchedulerKind::kProportionalShare}) {
     SchedFixture f(kind);
     Owner* o = f.NewOwner("o");
     Thread* t = f.kernel->CreateThread(o, "t");

@@ -167,7 +167,6 @@ TEST(CostModel, CalibratedSingleton) {
   const CostModel& b = CostModel::Calibrated();
   EXPECT_EQ(&a, &b);
   EXPECT_GT(a.pd_crossing, a.accounting_op);
-  EXPECT_EQ(a.max_thread_run_default, CyclesFromMillis(2.0));
 }
 
 }  // namespace

@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
+#include "src/sim/metrics.h"
 #include "tests/testbed.h"
 
 namespace escort {
@@ -211,6 +213,47 @@ TEST(WebServerIntegration, PdConfigCrossesDomains) {
   EXPECT_EQ(tb.server->kernel().crossing_violations(), 0u);
   // Every module got its own domain: privileged + 8 modules.
   EXPECT_EQ(tb.server->kernel().domains().size(), 9u);
+}
+
+TEST(WebServerIntegration, IllegalCrossingKillsTheConnectionPath) {
+  MetricsRegistry metrics;
+  WebServerOptions opts;
+  opts.metrics = &metrics;
+  Testbed tb(ServerConfig::kAccountingPd, opts);
+  ClientMachine* m = tb.AddClient(0);
+  FnConnOwner owner;
+  m->OpenConnection(tb.server->options().ip, 80, &owner)->Connect();
+  tb.RunFor(0.05);
+
+  Path* conn = nullptr;
+  for (Path* p : tb.server->paths().live_paths()) {
+    if (p->attrs.GetStr("role") == "tcp-active") {
+      conn = p;
+    }
+  }
+  ASSERT_NE(conn, nullptr);
+  std::vector<PdId> stage_pds = conn->StageDomains();
+  PdId outside = kKernelDomain;
+  for (const auto& pd : tb.server->kernel().domains()) {
+    if (pd->pd_id() != kKernelDomain &&
+        std::find(stage_pds.begin(), stage_pds.end(), pd->pd_id()) == stage_pds.end()) {
+      outside = pd->pd_id();
+      break;
+    }
+  }
+  ASSERT_NE(outside, kKernelDomain);
+
+  // Enter the path's first domain, then jump to one the path never maps.
+  Thread* t = conn->threads().front();
+  t->Push(100, stage_pds.front(), nullptr);
+  t->Push(100, outside, nullptr);
+  tb.RunFor(0.05);
+
+  EXPECT_EQ(tb.server->kernel().crossing_violations(), 1u);
+  EXPECT_EQ(tb.server->paths_killed(), 1u);
+  ASSERT_NE(metrics.FindCounter("server.paths_killed"), nullptr);
+  EXPECT_EQ(metrics.FindCounter("server.paths_killed")->value(), 1u);
+  EXPECT_EQ(tb.server->kill_cost_cycles().count(), 1u);
 }
 
 TEST(WebServerIntegration, ScoutConfigHasNoAccountingOverhead) {

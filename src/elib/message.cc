@@ -51,13 +51,6 @@ const uint8_t* Message::Data(PdId pd) const {
   return state_->buf->bytes().data() + head_;
 }
 
-uint8_t* Message::MutableData(PdId pd) {
-  if (!valid() || !state_->buf->CanWrite(pd)) {
-    return nullptr;
-  }
-  return state_->buf->bytes().data() + head_;
-}
-
 bool Message::Prepend(PdId pd, const void* src, uint64_t len) {
   if (!valid() || head_ < len || !state_->buf->CanWrite(pd)) {
     return false;
@@ -114,42 +107,6 @@ bool Message::Trim(uint64_t len) {
   }
   len_ -= len;
   return true;
-}
-
-bool Message::EnsureWritable(Kernel* kernel, Owner* owner, PdId pd,
-                             const std::vector<PdId>& read_domains) {
-  if (!valid()) {
-    return false;
-  }
-  if (state_->buf->CanWrite(pd)) {
-    return true;
-  }
-  // Lost write permission (locked, or only a read mapping here): copy into
-  // a fresh buffer. The library hides this from the module.
-  Message fresh = Alloc(kernel, owner, pd, read_domains, state_->buf->size() - head_, head_);
-  if (!fresh.valid()) {
-    return false;
-  }
-  const uint8_t* src = state_->buf->bytes().data() + head_;
-  fresh.len_ = len_;
-  std::memcpy(fresh.state_->buf->bytes().data() + fresh.head_, src, len_);
-  kernel->Consume(len_ * kernel->costs().per_byte_touch);
-  fresh.kind = kind;
-  fresh.aux = aux;
-  fresh.note = note;
-  state_ = std::move(fresh.state_);
-  head_ = fresh.head_;
-  return true;
-}
-
-void Message::LockForOwner(Owner* owner) {
-  if (!valid()) {
-    return;
-  }
-  state_->kernel->LockIoBuffer(state_->buf, owner);
-  // The library-level lock bookkeeping: the new lock belongs to `owner`;
-  // release of the library reference keeps releasing the original locker's
-  // kernel lock, and the extra lock pins the buffer for `owner`.
 }
 
 std::vector<uint8_t> Message::CopyOut(PdId pd) const {

@@ -6,9 +6,9 @@
 //  * Copying a Message adds a *library-level* reference — no kernel call;
 //    the kernel lock is released when the last library reference drops, so
 //    each owner holds at most one kernel lock per buffer.
-//  * Modules can transparently lose write permission (the buffer was locked
-//    or the module's domain only has a read mapping): EnsureWritable()
-//    re-allocates and copies, exactly as the real library does.
+//  * A domain that cannot write the buffer (it only has a read mapping)
+//    prepends its headers as fragments (PrependHeaderFragment) instead of
+//    writing the payload buffer.
 //  * Messages also carry an intra-path control tag (kind/aux) used by the
 //    stages of a path to label requests flowing between them; the tag is
 //    not part of the wire data.
@@ -67,10 +67,6 @@ class Message {
   // Read-only access from domain `pd`; nullptr on a protection fault.
   const uint8_t* Data(PdId pd) const;
 
-  // Writable access from domain `pd`; nullptr if the domain cannot write
-  // (locked buffer or read-only mapping). See EnsureWritable().
-  uint8_t* MutableData(PdId pd);
-
   // Prepends `len` header bytes (copies from `src` if non-null). Fails if
   // headroom is exhausted or the domain cannot write.
   bool Prepend(PdId pd, const void* src, uint64_t len);
@@ -91,16 +87,6 @@ class Message {
 
   // Drops `len` bytes from the tail.
   bool Trim(uint64_t len);
-
-  // Guarantees the current domain can write: if not, re-allocates a fresh
-  // buffer (owned by `owner`) and copies the visible window. Returns false
-  // only if allocation fails.
-  bool EnsureWritable(Kernel* kernel, Owner* owner, PdId pd,
-                      const std::vector<PdId>& read_domains);
-
-  // Kernel-locks the underlying buffer for `owner` (consistency check
-  // barrier: revokes all write permission).
-  void LockForOwner(Owner* owner);
 
   // The underlying buffer (for association / cache use).
   IoBuffer* buffer() const { return state_ ? state_->buf : nullptr; }

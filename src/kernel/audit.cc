@@ -28,7 +28,6 @@ void Auditor::CheckOwnerDrained(const Owner& owner) {
   drained("pages", u.pages);
   drained("stacks", u.stacks);
   drained("events", u.events);
-  drained("semaphores", u.semaphores);
   drained("threads", u.threads);
   drained("iobuffer_locks", u.iobuffer_locks);
 
@@ -42,7 +41,6 @@ void Auditor::CheckOwnerDrained(const Owner& owner) {
   empty("threads", owner.threads().size());
   empty("iobuffer_locks", owner.iobuffer_locks().size());
   empty("events", owner.events().size());
-  empty("semaphores", owner.semaphores().size());
   empty("pages", owner.pages().size());
 }
 
@@ -64,11 +62,10 @@ void Auditor::CheckConservation(Kernel& kernel) {
   }
 
   // Rule 3: per-owner counters must agree with the kernel-wide registries.
-  uint64_t threads = 0, semaphores = 0, events = 0, pages = 0, locks = 0;
+  uint64_t threads = 0, events = 0, pages = 0, locks = 0;
   for (const auto& [id, rec] : kernel.account_labels()) {
     const ResourceUsage& u = rec.owner->usage();
     threads += u.threads;
-    semaphores += u.semaphores;
     events += u.events;
     pages += u.pages;
     locks += u.iobuffer_locks;
@@ -82,7 +79,6 @@ void Auditor::CheckConservation(Kernel& kernel) {
     }
   };
   agree("threads", threads, kernel.live_thread_count());
-  agree("semaphores", semaphores, kernel.live_semaphore_count());
   agree("events", events, kernel.live_event_count());
   agree("pages", pages, kernel.pages().allocated_pages());
   agree("iobuffer_locks", locks, kernel.iobuffers().total_lock_count());

@@ -13,8 +13,8 @@
 //      elapsed simulation time, modulo the one in-flight busy segment the
 //      kernel reports via UnsettledBusyCycles().
 //   3. Global object conservation: the per-owner counters must agree with
-//      the kernel-wide object registries (threads, semaphores, live events,
-//      pages, IOBuffer locks).
+//      the kernel-wide object registries (threads, live events, pages,
+//      IOBuffer locks).
 //
 // The auditor is always compiled so tests can exercise it directly; builds
 // configured with -DESCORT_AUDIT additionally *enforce* it: the testbeds

@@ -66,10 +66,6 @@ bool IoBuffer::Read(PdId pd, uint64_t offset, void* dst, uint64_t len) const {
   return true;
 }
 
-bool IoBuffer::HeldBy(const Owner* owner) const {
-  return holders_.find(const_cast<Owner*>(owner)) != holders_.end();
-}
-
 // --- IoBufferManager ------------------------------------------------------------
 
 IoBufferManager::~IoBufferManager() {

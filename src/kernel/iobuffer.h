@@ -6,9 +6,7 @@
 //  * An IOBuffer is allocated to an owner — the current protection domain,
 //    or a path crossing the current domain. Owned by the current domain it
 //    maps read/write there; owned by a path it maps read/write in the
-//    current domain and read-only in the other domains along the path (up to
-//    an optional *termination domain*, so paths can traverse multiple
-//    security levels).
+//    current domain and read-only in the other domains along the path.
 //  * The identifier of the domain allowed to write is stored in the buffer
 //    itself (first long word). Locking increments the refcount and revokes
 //    all write permission (writer id set to 0), so a locked buffer can be
@@ -73,7 +71,6 @@ class IoBuffer {
 
   // Number of distinct owners currently charged for this buffer.
   size_t holder_count() const { return holders_.size(); }
-  bool HeldBy(const Owner* owner) const;
 
   uint64_t fault_count() const { return fault_count_; }
 
@@ -122,10 +119,9 @@ class IoBufferManager {
 
   // Allocates a buffer of `size` bytes (rounded up to whole pages), owned by
   // `owner`, writable from `current_pd`, read-only in `read_domains` (the
-  // domains along the owning path up to the termination domain). Consults
-  // the buffer cache first. The new buffer starts with one lock held by
-  // `owner`. `cache_hit` (optional) reports whether the cache satisfied the
-  // request.
+  // domains along the owning path). Consults the buffer cache first. The
+  // new buffer starts with one lock held by `owner`. `cache_hit` (optional)
+  // reports whether the cache satisfied the request.
   IoBuffer* Alloc(Owner* owner, uint64_t size, PdId current_pd,
                   const std::vector<PdId>& read_domains, bool* cache_hit = nullptr);
 

@@ -15,7 +15,6 @@ namespace {
 constexpr uint64_t kThreadKmemBytes = 512;   // TCB
 constexpr uint64_t kStackKmemBytes = 8192;   // one stack per entered domain
 constexpr uint64_t kEventKmemBytes = 96;
-constexpr uint64_t kSemaphoreKmemBytes = 64;
 
 }  // namespace
 
@@ -129,9 +128,6 @@ void Kernel::ChargeCycles(Owner* owner, Cycles c) {
 void Kernel::Consume(Cycles cost) {
   if (in_item_) {
     pending_consume_ += cost;
-  } else {
-    // Outside the CPU (boot-time setup): account without advancing time.
-    ChargeCycles(kernel_owner_.get(), 0);
   }
 }
 
@@ -175,11 +171,6 @@ void Kernel::StopThread(Thread* t) {
   if (t->state_ == ThreadState::kReady) {
     scheduler_->Remove(t);
   }
-  if (t->blocked_on_ != nullptr) {
-    auto& waiters = t->blocked_on_->waiters_;
-    waiters.erase(std::remove(waiters.begin(), waiters.end(), t), waiters.end());
-    t->blocked_on_ = nullptr;
-  }
   t->state_ = ThreadState::kDead;
   t->queue_.clear();
   if (!t->owner()->destroyed()) {
@@ -201,21 +192,11 @@ void Kernel::StopThread(Thread* t) {
   }
 }
 
-Thread* Kernel::Handoff(Thread* t, Owner* target, const std::string& name) {
-  Thread* fresh = CreateThread(target, name);
-  fresh->queue_ = std::move(t->queue_);
-  t->queue_.clear();
-  if (fresh->HasWork()) {
-    OnThreadHasWork(fresh);
-  }
-  return fresh;
-}
-
 void Kernel::OnThreadHasWork(Thread* t) {
   if (t->state_ == ThreadState::kDead) {
     return;
   }
-  if (t->state_ == ThreadState::kBlocked && t->blocked_on_ == nullptr && t->HasWork()) {
+  if (t->state_ == ThreadState::kBlocked && t->HasWork()) {
     t->state_ = ThreadState::kReady;
     scheduler_->Enqueue(t);
   }
@@ -415,11 +396,7 @@ void Kernel::FinishItem() {
     }
   }
 
-  if (t->blocked_on_ != nullptr) {
-    t->state_ = ThreadState::kBlocked;
-    t->run_since_yield_ = 0;
-    running_ = nullptr;
-  } else if (!t->HasWork()) {
+  if (!t->HasWork()) {
     t->state_ = ThreadState::kBlocked;
     t->run_since_yield_ = 0;
     running_ = nullptr;
@@ -468,7 +445,6 @@ void Kernel::ReapGraveyard() { graveyard_.clear(); }
 void Kernel::ScheduleSoftclock() {
   Cycles period = CyclesFromMillis(static_cast<double>(config_.costs.softclock_period_ms));
   softclock_event_id_ = eq_->ScheduleAfter(period, [this] {
-    ++softclock_ticks_;
     if (softclock_thread_ != nullptr && softclock_thread_->QueueDepth() < 4) {
       softclock_thread_->Push(config_.costs.softclock_tick, kKernelDomain,
                               [this] { SoftclockTick(); }, /*yields=*/true);
@@ -560,28 +536,6 @@ void Kernel::CancelEvent(KernelEvent* ev) {
   }
 }
 
-// --- Semaphores ----------------------------------------------------------------------------
-
-Semaphore* Kernel::CreateSemaphore(Owner* owner, const std::string& name, int initial) {
-  ConsumeCharged(config_.costs.semaphore_op);
-  auto sem = std::make_unique<Semaphore>(this, owner, name, initial);
-  Semaphore* raw = sem.get();
-  owner->usage().kmem_bytes += kSemaphoreKmemBytes;
-  semaphores_.push_back(std::move(sem));
-  return raw;
-}
-
-void Kernel::DestroySemaphore(Semaphore* sem) {
-  if (sem == nullptr) {
-    return;
-  }
-  sem->UnblockForeign();
-  if (!sem->owner()->destroyed()) {
-    sem->owner()->usage().kmem_bytes -= kSemaphoreKmemBytes;
-  }
-  std::erase_if(semaphores_, [sem](const std::unique_ptr<Semaphore>& p) { return p.get() == sem; });
-}
-
 // --- Memory -----------------------------------------------------------------------------------
 
 Page* Kernel::AllocPage(Owner* owner) {
@@ -622,11 +576,6 @@ IoBuffer* Kernel::AllocIoBuffer(Owner* owner, uint64_t size, PdId current_pd,
   return buf;
 }
 
-void Kernel::LockIoBuffer(IoBuffer* buf, Owner* locker) {
-  ConsumeCharged(config_.costs.iobuffer_lock);
-  iob_.Lock(buf, locker);
-}
-
 void Kernel::UnlockIoBuffer(IoBuffer* buf, Owner* locker) {
   ConsumeCharged(config_.costs.iobuffer_unlock);
   iob_.Unlock(buf, locker);
@@ -655,19 +604,7 @@ Cycles Kernel::DestroyOwner(Owner* owner, int pd_count) {
     StopThread(t);
   }
 
-  // 2. Semaphores: wake foreign waiters, then destroy. The destructor
-  // unlinks the semaphore from the owner's tracking list.
-  while (!owner->semaphores().empty()) {
-    Semaphore* sem = owner->semaphores().front();
-    sem->UnblockForeign();
-    cost += cm.reclaim_per_semaphore;
-    ++reclaimed_objects;
-    owner->usage().kmem_bytes -= kSemaphoreKmemBytes;
-    std::erase_if(semaphores_,
-                  [sem](const std::unique_ptr<Semaphore>& p) { return p.get() == sem; });
-  }
-
-  // 3. Timer events.
+  // 2. Timer events.
   while (!owner->events().empty()) {
     KernelEvent* ev = owner->events().front();
     owner->events().pop_front();
@@ -679,12 +616,12 @@ Cycles Kernel::DestroyOwner(Owner* owner, int pd_count) {
   }
   event_threads_.erase(owner);
 
-  // 4. IOBuffer locks.
+  // 3. IOBuffer locks.
   uint64_t released = iob_.ReleaseAllFor(owner);
   cost += released * cm.reclaim_per_iobuffer;
   reclaimed_objects += released;
 
-  // 5. Pages.
+  // 4. Pages.
   while (!owner->pages().empty()) {
     Page* page = owner->pages().front();
     pages_.Free(page);
@@ -692,7 +629,7 @@ Cycles Kernel::DestroyOwner(Owner* owner, int pd_count) {
     ++reclaimed_objects;
   }
 
-  // 6. Per-domain teardown: stacks, mappings and IPC channels in every
+  // 5. Per-domain teardown: stacks, mappings and IPC channels in every
   // protection domain the owner's path crosses.
   if (config_.protection_domains && pd_count > 0) {
     cost += static_cast<Cycles>(pd_count) * cm.pathkill_per_pd;

@@ -2,9 +2,9 @@
 //
 // Owns the simulated server CPU and the kernel objects §3 of the paper
 // describes: owners and their accounting ledgers, threads and the configured
-// scheduler, timer events + softclock, semaphores, page/kmem allocation,
-// IOBuffers, runaway-thread detection, and the owner-destruction machinery
-// behind pathDestroy/pathKill. Modules call its methods directly.
+// scheduler, timer events + softclock, page/kmem allocation, IOBuffers,
+// runaway-thread detection, and the owner-destruction machinery behind
+// pathDestroy/pathKill. Modules call its methods directly.
 //
 // Execution model (see src/kernel/thread.h): threads carry work items;
 // the kernel dispatches the next runnable thread non-preemptively, advances
@@ -29,7 +29,6 @@
 #include "src/kernel/page_allocator.h"
 #include "src/kernel/protection_domain.h"
 #include "src/kernel/scheduler.h"
-#include "src/kernel/semaphore.h"
 #include "src/kernel/thread.h"
 #include "src/sim/cost_model.h"
 #include "src/sim/event_queue.h"
@@ -119,16 +118,13 @@ class Kernel {
   Thread* CreateThread(Owner* owner, const std::string& name);
   // Called by Thread::Push; makes the thread runnable and kicks the CPU.
   void OnThreadHasWork(Thread* t);
-  // Generates a new thread belonging to `target` and moves the remaining
-  // work of `t` onto it (Escort's threadHandoff).
-  Thread* Handoff(Thread* t, Owner* target, const std::string& name);
   void StopThread(Thread* t);
 
   // Dynamic cost consumption: module/kernel code invoked from inside a work
   // item calls this to extend the current busy period (e.g. per-byte costs
-  // discovered at run time, kernel-call overheads). Outside a work item the
-  // cost is charged directly to `fallback_owner` (or the kernel) without
-  // advancing time (boot-time setup).
+  // discovered at run time, kernel-call overheads). Outside a work item
+  // (boot-time setup) the cost is dropped: no busy period matches it, and
+  // charging it would break cycle conservation.
   void Consume(Cycles cost);
   // Consume + the accounting surcharge if accounting is enabled.
   void ConsumeCharged(Cycles cost);
@@ -150,10 +146,6 @@ class Kernel {
                              Cycles dispatch_cost, PdId pd, KernelEvent::Handler handler);
   void CancelEvent(KernelEvent* ev);
 
-  // --- Semaphores --------------------------------------------------------------
-  Semaphore* CreateSemaphore(Owner* owner, const std::string& name, int initial);
-  void DestroySemaphore(Semaphore* sem);
-
   // --- Memory --------------------------------------------------------------------
   PageAllocator& pages() { return pages_; }
   Page* AllocPage(Owner* owner);
@@ -165,7 +157,6 @@ class Kernel {
   IoBufferManager& iobuffers() { return iob_; }
   IoBuffer* AllocIoBuffer(Owner* owner, uint64_t size, PdId current_pd,
                           const std::vector<PdId>& read_domains);
-  void LockIoBuffer(IoBuffer* buf, Owner* locker);
   void UnlockIoBuffer(IoBuffer* buf, Owner* locker);
   void AssociateIoBuffer(IoBuffer* buf, Owner* second, const std::vector<PdId>& read_domains);
 
@@ -243,7 +234,6 @@ class Kernel {
   // Kernel-wide live-object counts, cross-checked by the auditor against
   // the summed per-owner counters.
   uint64_t live_thread_count() const { return threads_.size(); }
-  uint64_t live_semaphore_count() const { return semaphores_.size(); }
   uint64_t live_event_count() const;
 
   uint64_t dispatch_count() const { return dispatch_count_; }
@@ -301,7 +291,6 @@ class Kernel {
 
   std::vector<std::unique_ptr<Thread>> threads_;
   std::vector<std::unique_ptr<Thread>> graveyard_;
-  std::vector<std::unique_ptr<Semaphore>> semaphores_;
   std::vector<std::unique_ptr<KernelEvent>> events_;
   uint64_t next_tid_ = 1;
 
@@ -329,7 +318,6 @@ class Kernel {
 
   // Softclock.
   Thread* softclock_thread_ = nullptr;
-  uint64_t softclock_ticks_ = 0;
   EventQueue::EventId softclock_event_id_ = 0;
   bool softclock_event_id_valid_ = false;
   std::map<Owner*, Thread*> event_threads_;

@@ -1,10 +1,10 @@
 // Owner: the unit of resource accounting in Escort (paper Figures 4 and 5).
 //
 // Every resource in the system — CPU cycles, kernel memory, memory pages,
-// thread stacks, events, semaphores, IOBuffer locks — is charged to an
-// owner, which is either a *path* or a *protection domain* (plus the two
-// pseudo-owners the kernel itself uses: Kernel and Idle). The structure has
-// three parts, exactly as in the paper:
+// thread stacks, events, IOBuffer locks — is charged to an owner, which is
+// either a *path* or a *protection domain* (plus the two pseudo-owners the
+// kernel itself uses: Kernel and Idle). The structure has three parts,
+// exactly as in the paper:
 //   1. accounting counters, consulted by security policies,
 //   2. tracking lists of the live kernel objects charged to this owner,
 //      supporting fast reclamation when the owner is destroyed, and
@@ -24,7 +24,6 @@ namespace escort {
 class Thread;
 class IoBuffer;
 class KernelEvent;
-class Semaphore;
 struct Page;
 
 // Protection-domain identifier. Domain 0 is the privileged kernel domain.
@@ -48,7 +47,6 @@ struct ResourceUsage {
   uint64_t stacks = 0;       // thread stacks (one per domain a thread enters)
   Cycles cycles = 0;         // CPU cycles consumed
   uint64_t events = 0;       // registered timer events
-  uint64_t semaphores = 0;   // live semaphores
   uint64_t threads = 0;      // live threads
   uint64_t iobuffer_locks = 0;  // IOBuffer locks held
 };
@@ -106,13 +104,11 @@ class Owner {
   std::list<Thread*>& threads() { return threads_; }
   std::list<IoBuffer*>& iobuffer_locks() { return iobuffer_locks_; }
   std::list<KernelEvent*>& events() { return events_; }
-  std::list<Semaphore*>& semaphores() { return semaphores_; }
   std::list<Page*>& pages() { return pages_; }
 
   const std::list<Thread*>& threads() const { return threads_; }
   const std::list<IoBuffer*>& iobuffer_locks() const { return iobuffer_locks_; }
   const std::list<KernelEvent*>& events() const { return events_; }
-  const std::list<Semaphore*>& semaphores() const { return semaphores_; }
   const std::list<Page*>& pages() const { return pages_; }
 
  private:
@@ -128,7 +124,6 @@ class Owner {
   std::list<Thread*> threads_;
   std::list<IoBuffer*> iobuffer_locks_;
   std::list<KernelEvent*> events_;
-  std::list<Semaphore*> semaphores_;
   std::list<Page*> pages_;
 };
 

@@ -1,10 +1,10 @@
 // Protection domains (paper §2.3).
 //
-// A protection domain is an owner: it holds pages, threads, events and
-// semaphores of its own, plus a *heap*. The kernel only hands out memory at
-// page granularity; the domain's heap subdivides pages into smaller objects
-// for the paths that cross the domain, transferring the charge to the path
-// (and back, via module destructors, when the path is destroyed).
+// A protection domain is an owner: it holds pages, threads and events of
+// its own, plus a *heap*. The kernel only hands out memory at page
+// granularity; the domain's heap subdivides pages into smaller objects for
+// the paths that cross the domain, transferring the charge to the path (and
+// back, via module destructors, when the path is destroyed).
 //
 // Domain 0 is the privileged kernel domain. On the real hardware, crossings
 // are enforced by the Alpha MMU; here the kernel validates each crossing

@@ -2,7 +2,8 @@
 //
 // Threads are owned by a path or a protection domain; their lifetime is
 // bounded by their owner's. Threads are *non-preemptive*: they run until
-// they yield, block, or exhaust their work, with one exception — a thread
+// they yield or exhaust their work (a thread with no work waits on its
+// queue until something is pushed), with one exception — a thread
 // can be preempted if it is destroyed immediately afterwards, which is how
 // the kernel deals with runaway threads (the owner of a removed thread is
 // itself removed).
@@ -10,12 +11,12 @@
 // Execution model: a thread carries a queue of WorkItems. Each item is a
 // unit of computation with a cycle cost, the protection domain it executes
 // in, and an action to run when the cycles have been consumed. The action
-// may push further items (continuations), send packets, block on a
-// semaphore, and so on. Crossing into a different protection domain than the
-// thread is currently in incurs the domain-crossing cost and requires an
-// entry in the owning path's allowed-crossings map, mirroring the
-// trap-mediated crossings of the real system. Threads owned by a path keep
-// one stack per domain they have entered (charged to the owner).
+// may push further items (continuations), send packets, and so on.
+// Crossing into a different protection domain than the thread is currently
+// in incurs the domain-crossing cost and requires an entry in the owning
+// path's allowed-crossings map, mirroring the trap-mediated crossings of
+// the real system. Threads owned by a path keep one stack per domain they
+// have entered (charged to the owner).
 
 #ifndef SRC_KERNEL_THREAD_H_
 #define SRC_KERNEL_THREAD_H_
@@ -32,7 +33,6 @@
 namespace escort {
 
 class Kernel;
-class Semaphore;
 
 struct WorkItem {
   Cycles cost = 0;
@@ -84,7 +84,6 @@ class Thread {
 
  private:
   friend class Kernel;
-  friend class Semaphore;
 
   Kernel* const kernel_;
   Owner* const owner_;
@@ -96,7 +95,6 @@ class Thread {
   PdId current_pd_ = kKernelDomain;
   Cycles run_since_yield_ = 0;
   std::set<PdId> stacks_;
-  Semaphore* blocked_on_ = nullptr;
   std::list<Thread*>::iterator owner_link_;
 };
 

@@ -345,7 +345,6 @@ void TcpModule::Process(Stage& stage, Message msg, Direction dir) {
   if (pcb == nullptr || pcb->state == TcpState::kClosed) {
     return;
   }
-  pcb->segments_in += 1;
   HandleSegment(pcb, *hdr, std::move(msg));
 }
 
@@ -588,7 +587,6 @@ void TcpModule::SendSegment(TcpPcb* pcb, uint8_t flags, uint32_t seq, const uint
   hdr.window = 0xffff;
   WriteTcpHeader(msg, pd(), hdr, pcb->key.local_addr, pcb->key.remote_addr);
   msg.aux = IpModule::PackAddrs(pcb->key.local_addr, pcb->key.remote_addr);
-  pcb->segments_out += 1;
   pcb->path->ForwardDown(*pcb->stage, std::move(msg));
 }
 

@@ -135,8 +135,6 @@ struct TcpPcb {
   Cycles syn_recvd_deadline = 0;
   Cycles time_wait_deadline = 0;
 
-  uint64_t segments_in = 0;
-  uint64_t segments_out = 0;
   uint64_t retransmits = 0;
 
   // Sim time the active path was opened (connection-lifetime histogram).

@@ -1,7 +1,5 @@
 #include "src/path/path.h"
 
-#include "src/path/path_manager.h"
-
 namespace escort {
 
 Path::Path(Kernel* kernel, PathManager* manager, std::string name)
@@ -38,17 +36,6 @@ std::vector<PdId> Path::StageDomains() const {
   pds.reserve(stages_.size());
   for (const auto& stage : stages_) {
     pds.push_back(stage->pd);
-  }
-  return pds;
-}
-
-std::vector<PdId> Path::StageDomainsUpTo(size_t from_index, PdId termination) const {
-  std::vector<PdId> pds;
-  for (size_t i = from_index; i < stages_.size(); ++i) {
-    pds.push_back(stages_[i]->pd);
-    if (stages_[i]->pd == termination) {
-      break;
-    }
   }
   return pds;
 }
@@ -97,8 +84,7 @@ void Path::DeliverAt(size_t index, Direction dir, Message msg, Cycles extra_cost
   Module* module = stage->module;
   t->Push(extra_cost, stage->pd,
           // NOLINT-EA001(queue is path-owned: pathKill drains the thread pool before reclaim, the closure cannot outlive this path)
-          [this, stage, module, msg = std::move(msg), dir]() mutable {
-            ++messages_processed;
+          [stage, module, msg = std::move(msg), dir]() mutable {
             module->Process(*stage, std::move(msg), dir);
           },
           yields);
@@ -121,15 +107,6 @@ size_t Path::PendingItems() const {
     total += t->QueueDepth();
   }
   return total;
-}
-
-void Path::Unref() {
-  if (refcnt_ > 0) {
-    --refcnt_;
-  }
-  if (refcnt_ == 0 && destroy_pending_ && manager_ != nullptr) {
-    manager_->Destroy(this);
-  }
 }
 
 }  // namespace escort

@@ -5,9 +5,10 @@
 // threads scheduled to execute it.
 //
 // Mirrors the paper's Path structure: owner state, the hash of allowed
-// protection-domain crossings, the stage list, four source/sink queues, a
-// thread pool, and a reference count that delays pathDestroy (but never
-// pathKill).
+// protection-domain crossings, the stage list and a thread pool. The
+// paper's four source/sink queues and reference count are not modelled:
+// work reaches a path only as DeliverAt items, and nothing holds a path
+// across a pathDestroy.
 
 #ifndef SRC_PATH_PATH_H_
 #define SRC_PATH_PATH_H_
@@ -19,7 +20,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/elib/bounded_queue.h"
 #include "src/elib/message.h"
 #include "src/kernel/kernel.h"
 #include "src/path/attribute.h"
@@ -56,9 +56,6 @@ class Stage {
 // ESCORT_KERNEL_LIFETIME
 class Path : public Owner {
  public:
-  // The four path-end queues (paper Figure 6: Queues[4]).
-  enum QueueId { kSourceIn = 0, kSourceOut = 1, kSinkIn = 2, kSinkOut = 3 };
-
   Path(Kernel* kernel, PathManager* manager, std::string name);
   ~Path() override;
 
@@ -75,14 +72,6 @@ class Path : public Owner {
   // The protection domains of all stages, in order (the read-mapping set
   // for messages that travel the whole path).
   std::vector<PdId> StageDomains() const;
-  // Termination domains (paper §3.3): "to allow paths to traverse multiple
-  // security levels, it is possible to designate certain protection domains
-  // along a path as termination domains — this limits the read mapping to
-  // the domains along the path from the current protection domain up to and
-  // including the termination domain." Returns the stage domains from the
-  // stage at `from_index` through the first stage in `termination` (the
-  // whole path if `termination` never occurs).
-  std::vector<PdId> StageDomainsUpTo(size_t from_index, PdId termination) const;
   // Number of distinct protection domains the path crosses.
   int DistinctDomainCount() const;
 
@@ -114,24 +103,12 @@ class Path : public Owner {
   // demux engine drops frames for backlogged paths like a full NIC ring).
   size_t PendingItems() const;
 
-  // --- End queues -------------------------------------------------------------------
-  BoundedQueue<Message>& queue(QueueId q) { return queues_[q]; }
-
   // --- Kernel-side cleanup ---------------------------------------------------
   // Callbacks run on ANY reclamation — pathDestroy and pathKill alike —
   // before the owner's resources are torn down. This is for *kernel-
   // maintained* registrations (demux map entries) that must never dangle;
   // module destructors, by contrast, are skipped by pathKill.
   void AddKernelCleanup(std::function<void()> fn) { kernel_cleanups_.push_back(std::move(fn)); }
-
-  // --- Reference count (delays pathDestroy, never pathKill) ---------------------------
-  void Ref() { ++refcnt_; }
-  void Unref();
-  uint64_t refcnt() const { return refcnt_; }
-  bool destroy_pending() const { return destroy_pending_; }
-
-  // --- Stats ------------------------------------------------------------------------------
-  uint64_t messages_processed = 0;
 
  private:
   friend class PathManager;
@@ -142,10 +119,7 @@ class Path : public Owner {
   std::set<std::pair<PdId, PdId>> allowed_crossings_;
   std::vector<Thread*> pool_;
   size_t next_thread_ = 0;
-  BoundedQueue<Message> queues_[4];
   std::vector<std::function<void()>> kernel_cleanups_;
-  uint64_t refcnt_ = 0;
-  bool destroy_pending_ = false;
 };
 
 }  // namespace escort

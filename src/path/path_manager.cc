@@ -92,10 +92,6 @@ void PathManager::Destroy(Path* path) {
   if (path == nullptr || path->destroyed()) {
     return;
   }
-  if (path->refcnt() > 0) {
-    path->destroy_pending_ = true;
-    return;
-  }
   // Invoke the destructor function of each module along the path, in the
   // same order in which the stages were initialized (paper §2.2). Each runs
   // in the module's protection domain; charge-backs for heap memory happen
@@ -123,11 +119,11 @@ Cycles PathManager::Kill(Path* path) {
   if (path == nullptr || path->destroyed()) {
     return 0;
   }
-  // pathKill skips destructors and ignores the reference count; module
-  // state for this path is reclaimed through the owner's tracking lists.
-  // Modules learn of the kill lazily (their demux maps are purged when the
-  // dangling entry is touched — see Module::Process guards), mirroring the
-  // real system where the kernel frees everything unilaterally.
+  // pathKill skips destructors; module state for this path is reclaimed
+  // through the owner's tracking lists. Modules learn of the kill lazily
+  // (their demux maps are purged when the dangling entry is touched — see
+  // Module::Process guards), mirroring the real system where the kernel
+  // frees everything unilaterally.
   for (auto& stage : path->stages_) {
     if (ProtectionDomain* pd = kernel_->domain(stage->pd); pd != nullptr) {
       pd->HeapChargeBack(path);

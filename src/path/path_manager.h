@@ -35,14 +35,12 @@ class PathManager {
   Path* Create(Module* start, const Attributes& attrs, const std::string& account_label,
                size_t threads = 1);
 
-  // pathDestroy: honors the reference count (destruction is deferred until
-  // the count drops to zero), invokes the module destructors in
-  // initialization order, then reclaims all resources.
+  // pathDestroy: invokes the module destructors in initialization order,
+  // then reclaims all resources.
   void Destroy(Path* path);
 
-  // pathKill: immediate reclamation; destructors are NOT invoked; any
-  // outstanding references are ignored. Returns the reclamation cost in
-  // cycles (the Table 2 metric).
+  // pathKill: immediate reclamation; destructors are NOT invoked. Returns
+  // the reclamation cost in cycles (the Table 2 metric).
   Cycles Kill(Path* path);
 
   // Incremental demux of an incoming message starting at `start`

@@ -2,18 +2,13 @@
 //
 // The paper's measured policies live in the web server itself (per-subnet
 // SYN budgets, the 2 ms runaway budget, QoS tickets). This module adds the
-// *alternative* policies §4.4.4 sketches:
-//
-//  * Offender blacklisting: "clients that have previously violated some
-//    resource bound can be identified and their future connection request
-//    packets demultiplexed to a different distinct passive path with a very
-//    small resource allocation." Implemented as a penalty listener with a
-//    tiny SYN budget + low proportional-share tickets, fed by a blacklist
-//    the runaway handler appends to.
-//  * Passive-path CPU limiting: "the passive path that fields requests for
-//    new TCP connections can be given a limited share of the CPU, meaning
-//    that existing active paths are allowed to run in preference to
-//    starting new paths."
+// *alternative* policy §4.4.4 sketches, offender blacklisting: "clients
+// that have previously violated some resource bound can be identified and
+// their future connection request packets demultiplexed to a different
+// distinct passive path with a very small resource allocation."
+// Implemented as a penalty listener with a tiny SYN budget + low
+// proportional-share tickets, fed by a blacklist the runaway handler
+// appends to.
 
 #ifndef SRC_SERVER_POLICY_H_
 #define SRC_SERVER_POLICY_H_

@@ -61,7 +61,6 @@ struct CostModel {
   Cycles reclaim_per_iobuffer = 1'100;
   Cycles reclaim_per_page = 700;
   Cycles reclaim_per_event = 500;
-  Cycles reclaim_per_semaphore = 500;
   Cycles pathkill_per_pd = 13'200;  // tear down stacks/mappings/IPC per domain
 
   // --- Kernel object management ------------------------------------------
@@ -73,12 +72,10 @@ struct CostModel {
   Cycles heap_free = 500;
   Cycles iobuffer_alloc = 1'500;
   Cycles iobuffer_alloc_cached = 600;  // reuse from buffer cache (one mapping)
-  Cycles iobuffer_lock = 400;
   Cycles iobuffer_unlock = 400;
   Cycles iobuffer_associate = 900;
   Cycles thread_create = 3'000;
   Cycles thread_dispatch = 600;   // scheduler decision + context load
-  Cycles semaphore_op = 300;
   Cycles event_register = 600;
 
   // --- Accounting (the 8%) -------------------------------------------------

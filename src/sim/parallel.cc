@@ -1,9 +1,9 @@
 #include "src/sim/parallel.h"
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <exception>
-#include <mutex>
 #include <thread>
 
 namespace escort {
@@ -13,105 +13,37 @@ int HardwareConcurrency() {
   return n == 0 ? 1 : static_cast<int>(n);
 }
 
-// Workers pull indices from the current batch under a mutex. The batch
-// pointer doubles as the "work available" flag; it is cleared by the last
-// worker to finish so the caller can observe completion.
-struct ThreadPool::Impl {
-  struct Batch {
-    size_t count = 0;
-    size_t next = 0;
-    size_t done = 0;
-    const std::function<void(size_t)>* fn = nullptr;
-    std::vector<JobOutcome>* outcomes = nullptr;
-  };
-
-  std::mutex mu;
-  std::condition_variable work_cv;   // workers wait here for a batch / stop
-  std::condition_variable done_cv;   // RunIndexed waits here for completion
-  Batch* batch = nullptr;
-  bool stopping = false;
-  std::vector<std::thread> workers;
-
-  void WorkerLoop() {
-    std::unique_lock<std::mutex> lock(mu);
-    for (;;) {
-      work_cv.wait(lock, [&] { return stopping || (batch != nullptr && batch->next < batch->count); });
-      if (batch == nullptr || batch->next >= batch->count) {
-        if (stopping) {
-          return;
-        }
-        continue;
-      }
-      Batch* b = batch;
-      size_t i = b->next++;
-      lock.unlock();
-      JobOutcome outcome;
-      try {
-        (*b->fn)(i);
-      } catch (const std::exception& e) {
-        outcome.ok = false;
-        outcome.error = e.what();
-      } catch (...) {
-        outcome.ok = false;
-        outcome.error = "non-standard exception";
-      }
-      lock.lock();
-      (*b->outcomes)[i] = std::move(outcome);
-      if (++b->done == b->count) {
-        done_cv.notify_all();
-      }
-    }
-  }
-};
-
-ThreadPool::ThreadPool(int threads) : impl_(std::make_unique<Impl>()) {
-  int n = threads <= 0 ? HardwareConcurrency() : threads;
-  impl_->workers.reserve(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    impl_->workers.emplace_back([this] { impl_->WorkerLoop(); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lock(impl_->mu);
-    impl_->stopping = true;
-  }
-  impl_->work_cv.notify_all();
-  for (std::thread& t : impl_->workers) {
-    t.join();
-  }
-}
-
-int ThreadPool::thread_count() const { return static_cast<int>(impl_->workers.size()); }
-
-std::vector<JobOutcome> ThreadPool::RunIndexed(size_t count,
-                                               const std::function<void(size_t)>& fn) {
-  std::vector<JobOutcome> outcomes(count);
-  if (count == 0) {
-    return outcomes;
-  }
-  Impl::Batch batch;
-  batch.count = count;
-  batch.fn = &fn;
-  batch.outcomes = &outcomes;
-  {
-    std::lock_guard<std::mutex> lock(impl_->mu);
-    impl_->batch = &batch;
-  }
-  impl_->work_cv.notify_all();
-  {
-    std::unique_lock<std::mutex> lock(impl_->mu);
-    impl_->done_cv.wait(lock, [&] { return batch.done == batch.count; });
-    impl_->batch = nullptr;
-  }
-  return outcomes;
-}
-
 std::vector<JobOutcome> ParallelFor(int jobs, size_t count,
                                     const std::function<void(size_t)>& fn) {
-  ThreadPool pool(jobs);
-  return pool.RunIndexed(count, fn);
+  std::vector<JobOutcome> outcomes(count);
+  std::atomic<size_t> next{0};
+  auto worker = [&] {
+    // Each index is claimed once, so a worker writes only its own slots.
+    for (size_t i = next++; i < count; i = next++) {
+      try {
+        fn(i);
+      } catch (const std::exception& e) {
+        outcomes[i].ok = false;
+        outcomes[i].error = e.what();
+      } catch (...) {
+        outcomes[i].ok = false;
+        outcomes[i].error = "non-standard exception";
+      }
+    }
+  };
+  const size_t threads =
+      std::min(static_cast<size_t>(jobs <= 0 ? HardwareConcurrency() : jobs), count);
+  // A jthread joins when destroyed, so the workers already started are
+  // joined even if starting the next one throws.
+  std::vector<std::jthread> workers;
+  workers.reserve(threads);
+  for (size_t w = 0; w < threads; ++w) {
+    workers.emplace_back(worker);
+  }
+  for (std::jthread& w : workers) {
+    w.join();
+  }
+  return outcomes;
 }
 
 double MonotonicMillis() {

@@ -1,14 +1,13 @@
-// Thread-pool job system for running independent simulation cells in
-// parallel (the sweep harness in src/workload/sweep.h is the main client).
+// Parallel runner for independent simulation cells (the sweep harness in
+// src/workload/sweep.h is its client).
 //
 // Contract: jobs must be *isolated* — each job owns its entire mutable
 // world (EventQueue, Kernel, testbed) and may only share immutable data
-// such as the calibrated CostModel/NetworkModel singletons. The pool
-// guarantees that outcomes are reported in submission (index) order
-// regardless of completion order, so a parallel run is observationally
-// identical to a serial one. A job that throws surfaces as a failed
-// outcome for that index — never as a deadlock, a torn-down pool, or an
-// abort of the whole sweep.
+// such as the calibrated CostModel/NetworkModel singletons. Outcomes are
+// reported in submission (index) order regardless of completion order, so
+// a parallel run is observationally identical to a serial one. A job that
+// throws surfaces as a failed outcome for that index — never as a
+// deadlock or an abort of the whole sweep.
 //
 // Raw std::thread lives only in parallel.cc; this header deliberately
 // exposes no threading primitives.
@@ -18,7 +17,6 @@
 
 #include <cstddef>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -34,33 +32,11 @@ struct JobOutcome {
 // Number of hardware threads, always at least 1.
 int HardwareConcurrency();
 
-class ThreadPool {
- public:
-  // threads <= 0 selects HardwareConcurrency().
-  explicit ThreadPool(int threads = 0);
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  int thread_count() const;
-
-  // Runs fn(0), fn(1), ..., fn(count - 1) across the pool's workers and
-  // blocks until all of them finish. Returns one outcome per index, in
-  // index order. count == 0 returns an empty vector without touching the
-  // workers; count smaller than the pool simply leaves workers idle.
-  //
-  // Batches are sequential: RunIndexed must not be called concurrently
-  // from multiple threads (the sweep harness never does).
-  std::vector<JobOutcome> RunIndexed(size_t count, const std::function<void(size_t)>& fn);
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-};
-
-// One-shot convenience: runs fn over [0, count) on a temporary pool of
-// `jobs` threads (jobs <= 0: hardware concurrency).
+// Runs fn(0), fn(1), ..., fn(count - 1) on min(jobs, count) worker
+// threads (jobs <= 0: hardware concurrency) and joins them. Returns one
+// outcome per index, in index order; count == 0 starts no thread. No job
+// runs on the calling thread: glibc gives the main thread its own malloc
+// arena, so a cell run there could report a different peak RSS.
 std::vector<JobOutcome> ParallelFor(int jobs, size_t count,
                                     const std::function<void(size_t)>& fn);
 

@@ -16,8 +16,6 @@ TimerWheel::TimerWheel() {
 
 TimerWheel::~TimerWheel() = default;
 
-size_t TimerWheel::entry_bytes() { return sizeof(Entry); }
-
 size_t TimerWheel::bytes_reserved() const {
   return entries_.capacity() * sizeof(Entry) + due_.capacity() * sizeof(int32_t) +
          sizeof(levels_);

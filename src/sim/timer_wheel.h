@@ -90,7 +90,6 @@ class TimerWheel {
   size_t high_water() const { return high_water_; }
   size_t capacity() const { return entries_.capacity(); }
   size_t bytes_reserved() const;
-  static size_t entry_bytes();
 
  private:
   static constexpr int kLevels = 6;

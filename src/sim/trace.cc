@@ -1,5 +1,6 @@
 #include "src/sim/trace.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 
@@ -107,15 +108,7 @@ uint32_t Tracer::TrackId(const std::string& track) {
   return tid;
 }
 
-void Tracer::Push(TraceEvent ev) {
-  if (config_.flight_capacity > 0) {
-    if (flight_.size() >= config_.flight_capacity) {
-      flight_.pop_front();
-    }
-    flight_.push_back(ev);
-  }
-  events_.push_back(std::move(ev));
-}
+void Tracer::Push(TraceEvent ev) { events_.push_back(std::move(ev)); }
 
 void Tracer::BeginSpan(Cycles ts, const std::string& track, const std::string& name,
                        const char* category, Args args) {
@@ -222,6 +215,8 @@ bool Tracer::WriteFile(const std::string& path, const std::string& content) {
 }
 
 void Tracer::DumpFlight(const std::string& reason, Cycles ts) {
+  // The flight window is the tail of the event log.
+  const size_t depth = std::min(events_.size(), config_.flight_capacity);
   std::string out;
   AppendDocumentHead(&out);
   out += "\"flight\": {\"reason\": ";
@@ -229,7 +224,7 @@ void Tracer::DumpFlight(const std::string& reason, Cycles ts) {
   out += ", \"ts\": ";
   out += Num(ts);
   out += ", \"depth\": ";
-  out += Num(flight_.size());
+  out += Num(depth);
   out += "},\n";
   out += "\"traceEvents\": [\n";
   AppendMetadata(&out, 0, 0, "process_name", "escort flight recorder");
@@ -237,12 +232,12 @@ void Tracer::DumpFlight(const std::string& reason, Cycles ts) {
     out += ",\n";
     AppendMetadata(&out, 0, static_cast<uint32_t>(i + 1), "thread_name", track_names_[i]);
   }
-  for (const TraceEvent& ev : flight_) {
+  for (size_t i = events_.size() - depth; i < events_.size(); ++i) {
     out += ",\n";
-    AppendEvent(&out, ev, 0);
+    AppendEvent(&out, events_[i], 0);
   }
-  // Flight dumps may truncate a span's B while keeping its E (ring
-  // eviction), so mark the document as a partial window.
+  // The window may cut a span's B while keeping its E, so mark the
+  // document as a partial window.
   out += "\n],\n\"partial\": true}\n";
 
   ++flight_dumps_;

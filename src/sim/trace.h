@@ -16,15 +16,14 @@
 // nullptr unless `--trace` is given; every instrumentation site is a
 // single pointer test, with no allocation behind it.
 //
-// The flight recorder keeps the most recent events in a bounded ring
-// and dumps them to `<trace>.flight.json` when something goes wrong
-// (audit violation, pathKill), giving post-mortem context.
+// The flight recorder dumps the most recent events (the tail of the
+// event log) to `<trace>.flight.json` when something goes wrong (audit
+// violation, pathKill), giving post-mortem context.
 
 #ifndef SRC_SIM_TRACE_H_
 #define SRC_SIM_TRACE_H_
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <string>
 #include <utility>
@@ -41,7 +40,7 @@ namespace escort {
 struct TraceConfig {
   std::string path;  // the trace document; names the default flight dump
 
-  // Flight recorder: ring capacity and dump location (empty = derive
+  // Flight recorder: events per dump and dump location (empty = derive
   // `path + ".flight.json"`; empty with an empty `path` = keep the dump
   // in memory only).
   size_t flight_capacity = 256;
@@ -92,9 +91,9 @@ class Tracer {
   void Finalize(Cycles ts);
 
   // --- Flight recorder -------------------------------------------------
-  // Serializes the ring (most recent events, oldest first) plus `reason`
-  // and writes it to ResolvedFlightPath(), unless that is empty. Keeps
-  // the dump in memory for tests. Best effort on I/O failure.
+  // Serializes the last `flight_capacity` events (oldest first) plus
+  // `reason` and writes them to ResolvedFlightPath(), unless that is
+  // empty. Keeps the dump in memory for tests. Best effort on I/O failure.
   void DumpFlight(const std::string& reason, Cycles ts);
   uint64_t flight_dumps() const { return flight_dumps_; }
   const std::string& last_flight_dump() const { return last_flight_dump_; }
@@ -140,7 +139,6 @@ class Tracer {
   std::vector<std::string> track_names_;          // index = tid - 1
   std::map<std::string, uint32_t> track_ids_;
   std::map<uint32_t, uint32_t> open_spans_;       // tid -> open-depth
-  std::deque<TraceEvent> flight_;
   uint64_t flight_dumps_ = 0;
   std::string last_flight_dump_;
 };

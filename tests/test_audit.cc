@@ -66,7 +66,6 @@ TEST_F(AuditTest, MissingReleaseInCounterIsReportedOnDestroy) {
 TEST_F(AuditTest, CleanTeardownDrainsEveryResource) {
   Owner* o = MakeOwner("clean");
   kernel_.CreateThread(o, "worker");
-  kernel_.CreateSemaphore(o, "sem", 1);
   kernel_.RegisterEvent(o, "tick", 1000, 0, 10, kKernelDomain, [] {});
   ASSERT_NE(kernel_.AllocPage(o), nullptr);
   ASSERT_NE(kernel_.AllocIoBuffer(o, 100, kKernelDomain, {kKernelDomain}), nullptr);

@@ -84,7 +84,7 @@ TEST_F(HeaderTest, IpChecksumDetectsCorruption) {
   hdr.protocol = kIpProtoTcp;
   ASSERT_TRUE(WriteIpHeader(msg, kKernelDomain, hdr));
   // Flip a bit in the TTL field.
-  msg.MutableData(kKernelDomain)[8] ^= 0x01;
+  msg.buffer()->bytes()[msg.headroom() + 8] ^= 0x01;
   auto parsed = ParseIpHeader(msg, kKernelDomain);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_FALSE(parsed->checksum_ok);
@@ -131,7 +131,7 @@ TEST_F(HeaderTest, TcpChecksumDetectsPayloadCorruption) {
   hdr.src_port = 1;
   hdr.dst_port = 80;
   ASSERT_TRUE(WriteTcpHeader(msg, kKernelDomain, hdr, src, dst));
-  msg.MutableData(kKernelDomain)[kTcpHeaderLen + 4] ^= 0xff;
+  msg.buffer()->bytes()[msg.headroom() + kTcpHeaderLen + 4] ^= 0xff;
   auto parsed = ParseTcpHeader(msg, kKernelDomain, src, dst);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_FALSE(parsed->checksum_ok);

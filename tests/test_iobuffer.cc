@@ -70,7 +70,7 @@ TEST_F(IoBufferTest, LockRevokesAllWritePermission) {
   IoBuffer* buf = kernel_->AllocIoBuffer(pd1_, 64, pd1_->pd_id(), {});
   uint8_t byte = 9;
   ASSERT_TRUE(buf->Write(pd1_->pd_id(), 0, &byte, 1));
-  kernel_->LockIoBuffer(buf, pd2_);
+  kernel_->iobuffers().Lock(buf, pd2_);
   // After locking, even the original writer cannot alter the buffer.
   EXPECT_FALSE(buf->Write(pd1_->pd_id(), 0, &byte, 1));
   EXPECT_EQ(buf->writer_pd(), IoBuffer::kNoWriter);
@@ -150,7 +150,7 @@ TEST_F(IoBufferTest, ReleaseAllForDropsEveryLock) {
 
 TEST_F(IoBufferTest, DoubleLockBySameOwnerCountsOnce) {
   IoBuffer* buf = kernel_->AllocIoBuffer(pd1_, 64, pd1_->pd_id(), {});
-  kernel_->LockIoBuffer(buf, pd1_);
+  kernel_->iobuffers().Lock(buf, pd1_);
   EXPECT_EQ(buf->lock_count(), 2);
   EXPECT_EQ(buf->holder_count(), 1u);
   // kmem charged once per holder, not per lock.

@@ -202,22 +202,6 @@ TEST_F(KernelCoreTest, StackAllocatedPerDomainEntered) {
   EXPECT_EQ(pdk.kernel_owner()->usage().stacks, stacks_before + 1);
 }
 
-TEST_F(KernelCoreTest, HandoffMovesRemainingWorkToTargetOwner) {
-  Owner target(OwnerType::kKernel, kernel_.NextOwnerId(), "target");
-  kernel_.RegisterOwner(&target, "target");
-
-  Thread* t = kernel_.CreateThread(kernel_.kernel_owner(), "src");
-  int ran_in_target = 0;
-  t->Push(10, kKernelDomain, [&] {
-    // Remaining items move to a fresh thread owned by `target`.
-    kernel_.Handoff(kernel_.current_thread(), &target, "moved");
-  });
-  t->Push(1000, kKernelDomain, [&] { ++ran_in_target; });
-  eq_.RunToCompletion();
-  EXPECT_EQ(ran_in_target, 1);
-  EXPECT_GE(target.usage().cycles, 1000u);
-}
-
 TEST_F(KernelCoreTest, StopThreadDropsQueuedWork) {
   Thread* t = kernel_.CreateThread(kernel_.kernel_owner(), "t");
   int ran = 0;

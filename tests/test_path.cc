@@ -190,22 +190,6 @@ TEST_F(PathTest, KillReclaimsThreadsAndBuffers) {
   EXPECT_TRUE(p->destroyed());
 }
 
-TEST_F(PathTest, RefCountDefersDestroyButNotKill) {
-  Path* p = manager_->Create(a_, Attributes{}, "ref");
-  p->Ref();
-  manager_->Destroy(p);
-  EXPECT_FALSE(p->destroyed());
-  EXPECT_TRUE(p->destroy_pending());
-  // Dropping the last reference completes the deferred destroy.
-  p->Unref();
-  EXPECT_TRUE(p->destroyed());
-
-  Path* q = manager_->Create(a_, Attributes{}, "ref2");
-  q->Ref();
-  manager_->Kill(q);  // pathKill ignores the refcount
-  EXPECT_TRUE(q->destroyed());
-}
-
 TEST_F(PathTest, CyclesChargedToPathOwner) {
   Path* p = manager_->Create(a_, Attributes{}, "charged");
   Cycles before = p->usage().cycles;
@@ -306,42 +290,6 @@ TEST_F(PathTest, ModuleGraphRejectsUntypedEdges) {
   EXPECT_FALSE(graph.Connect(file_mod, io_mod, ServiceInterface::kFileAccess));
   EXPECT_FALSE(graph.Connect(file_mod, io_mod, ServiceInterface::kAsyncIo));
   EXPECT_FALSE(graph.Connected(file_mod, io_mod));
-}
-
-TEST_F(PathTest, TerminationDomainLimitsReadMappings) {
-  // Paper §3.3: a termination domain caps how far along the path a
-  // buffer's read mapping extends — the mechanism for paths that traverse
-  // multiple security levels.
-  EventQueue eq2;
-  KernelConfig kc;
-  kc.start_softclock = false;
-  kc.protection_domains = true;
-  Kernel pdk(&eq2, kc);
-  ModuleGraph graph(&pdk);
-  auto* m1 = graph.Add(std::make_unique<EchoModule>("M1"), pdk.CreateDomain("d1")->pd_id());
-  auto* m2 = graph.Add(std::make_unique<EchoModule>("M2"), pdk.CreateDomain("d2")->pd_id());
-  auto* m3 = graph.Add(std::make_unique<EchoModule>("M3"), pdk.CreateDomain("d3")->pd_id());
-  m1->SetNext(m2);
-  m2->SetNext(m3);
-  graph.Connect(m1, m2, ServiceInterface::kAsyncIo);
-  graph.Connect(m2, m3, ServiceInterface::kAsyncIo);
-  PathManager manager(&pdk, &graph);
-  graph.InitAll(&manager);
-  Path* p = manager.Create(m1, Attributes{}, "multi-level");
-  ASSERT_NE(p, nullptr);
-
-  // Allocate a buffer in M1's domain with M2 designated as the termination
-  // domain: readable in d1 and d2, NOT in d3.
-  std::vector<PdId> limited = p->StageDomainsUpTo(0, m2->pd());
-  ASSERT_EQ(limited.size(), 2u);
-  IoBuffer* buf = pdk.AllocIoBuffer(p, 64, m1->pd(), limited);
-  EXPECT_TRUE(buf->CanWrite(m1->pd()));
-  EXPECT_TRUE(buf->CanRead(m2->pd()));
-  EXPECT_FALSE(buf->CanRead(m3->pd()));
-
-  // Without a termination domain the mapping spans the whole path.
-  std::vector<PdId> full = p->StageDomainsUpTo(0, /*termination=*/-2);
-  EXPECT_EQ(full.size(), 3u);
 }
 
 TEST_F(PathTest, StageDomainsListsAllStages) {

@@ -1,4 +1,4 @@
-// Semaphores and kernel timer events (paper §3.2).
+// Kernel timer events (paper §3.2).
 
 #include <gtest/gtest.h>
 
@@ -14,8 +14,8 @@ class SyncTest : public ::testing::Test {
     kernel_ = std::make_unique<Kernel>(&eq_, kc);
   }
 
-  // Owners must outlive the kernel (semaphore destructors unlink from
-  // their owner's tracking list), so they live here, declared before it.
+  // Owners must outlive the kernel (its threads and events point at
+  // them), so they live here, declared before it.
   Owner* NewOwner(const std::string& name) {
     owners_.push_back(
         std::make_unique<Owner>(OwnerType::kKernel, kernel_->NextOwnerId(), name));
@@ -27,67 +27,6 @@ class SyncTest : public ::testing::Test {
   std::vector<std::unique_ptr<Owner>> owners_;
   std::unique_ptr<Kernel> kernel_;
 };
-
-TEST_F(SyncTest, SemaphorePassesWhenCountPositive) {
-  Owner& o = *NewOwner("o");
-  Semaphore* sem = kernel_->CreateSemaphore(&o, "s", 1);
-  Thread* t = kernel_->CreateThread(&o, "t");
-  bool acquired = false;
-  t->Push(10, kKernelDomain, [&] { acquired = sem->P(kernel_->current_thread()); });
-  eq_.RunUntil(CyclesFromMillis(1));
-  EXPECT_TRUE(acquired);
-  EXPECT_EQ(sem->count(), 0);
-}
-
-TEST_F(SyncTest, SemaphoreBlocksAndVWakes) {
-  Owner& o = *NewOwner("o");
-  Semaphore* sem = kernel_->CreateSemaphore(&o, "s", 0);
-  Thread* consumer = kernel_->CreateThread(&o, "consumer");
-  Thread* producer = kernel_->CreateThread(&o, "producer");
-
-  std::vector<std::string> log;
-  consumer->Push(10, kKernelDomain, [&] {
-    sem->P(kernel_->current_thread());
-    log.push_back("blocked");
-  });
-  consumer->Push(10, kKernelDomain, [&] { log.push_back("resumed"); });
-
-  eq_.ScheduleAt(CyclesFromMillis(2), [&] {
-    producer->Push(10, kKernelDomain, [&] {
-      log.push_back("produce");
-      sem->V();
-    });
-  });
-  eq_.RunUntil(CyclesFromMillis(5));
-  ASSERT_EQ(log.size(), 3u);
-  EXPECT_EQ(log[0], "blocked");
-  EXPECT_EQ(log[1], "produce");
-  EXPECT_EQ(log[2], "resumed");
-}
-
-TEST_F(SyncTest, SemaphoreVWithoutWaitersIncrements) {
-  Owner& o = *NewOwner("o");
-  Semaphore* sem = kernel_->CreateSemaphore(&o, "s", 0);
-  Thread* t = kernel_->CreateThread(&o, "t");
-  t->Push(10, kKernelDomain, [&] { sem->V(); });
-  eq_.RunUntil(CyclesFromMillis(1));
-  EXPECT_EQ(sem->count(), 1);
-}
-
-TEST_F(SyncTest, DestroyUnblocksForeignWaitersOnly) {
-  Owner& owner_a = *NewOwner("a");
-  Owner& owner_b = *NewOwner("b");
-  Semaphore* sem = kernel_->CreateSemaphore(&owner_a, "s", 0);
-
-  Thread* foreign = kernel_->CreateThread(&owner_b, "foreign");
-  bool foreign_resumed = false;
-  foreign->Push(10, kKernelDomain, [&] { sem->P(kernel_->current_thread()); });
-  foreign->Push(10, kKernelDomain, [&] { foreign_resumed = true; });
-
-  eq_.ScheduleAt(CyclesFromMillis(2), [&] { kernel_->DestroySemaphore(sem); });
-  eq_.RunUntil(CyclesFromMillis(5));
-  EXPECT_TRUE(foreign_resumed);
-}
 
 TEST_F(SyncTest, OneShotEventFiresOnceAfterDelay) {
   Owner& o = *NewOwner("o");

@@ -1,28 +1,14 @@
-// Workload-layer tests: the shared link, bounded queues, the experiment
-// harness itself, and the elib bounded queue.
+// Workload-layer tests: the shared link and the experiment harness itself.
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <stdexcept>
 
-#include "src/elib/bounded_queue.h"
 #include "src/workload/experiment.h"
 
 namespace escort {
 namespace {
-
-TEST(BoundedQueue, FifoAndCapacity) {
-  BoundedQueue<int> q(2);
-  EXPECT_TRUE(q.Push(1));
-  EXPECT_TRUE(q.Push(2));
-  EXPECT_FALSE(q.Push(3));  // full: dropped
-  EXPECT_EQ(q.drops(), 1u);
-  EXPECT_EQ(q.high_water(), 2u);
-  EXPECT_EQ(q.Pop().value(), 1);
-  EXPECT_EQ(q.Pop().value(), 2);
-  EXPECT_FALSE(q.Pop().has_value());
-}
 
 class NullEndpoint : public NetEndpoint {
  public:

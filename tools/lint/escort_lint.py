@@ -64,8 +64,8 @@ built by a pure-Python C++ parser. tools/lint/README.md has the catalogue.
          capture-default ([=] / [&]). Capture a value key (ConnKey, owner
          id, stage index) and revalidate at fire time.
   EA003  charge/release flow pairing: a resource handle acquired from
-         AllocPage / AllocIoBuffer / LockIoBuffer must, on every exit path
-         of the acquiring function, be released (FreePage / UnlockIoBuffer),
+         AllocPage / AllocIoBuffer must, on every exit path of the
+         acquiring function, be released (FreePage / UnlockIoBuffer),
          transferred (passed to a call, stored into a field or container,
          returned), or provably null.
   EA005  determinism: no iteration over a pointer-keyed std::map/std::set
@@ -351,7 +351,7 @@ def check_allocation(relpath: str, code: str, findings: list) -> None:
 
 
 TRACK_LISTS_MUTATION = re.compile(
-    r"\b(?:threads|iobuffer_locks|events|semaphores|pages)\(\)\s*\.\s*"
+    r"\b(?:threads|iobuffer_locks|events|pages)\(\)\s*\.\s*"
     r"(?:push_front|push_back|erase|pop_front|pop_back|clear|insert|emplace\w*)\s*\(")
 USAGE_MUTATION = re.compile(r"\busage\(\)\s*\.\s*(\w+)\s*(\+=|-=|=)")
 
@@ -568,7 +568,6 @@ MARKERS = ("ESCORT_KERNEL_LIFETIME", "ESCORT_DEFERRED_API")
 CHARGE_PAIRS = {
     "AllocPage": ("FreePage", "Transfer"),
     "AllocIoBuffer": ("UnlockIoBuffer",),
-    "LockIoBuffer": ("UnlockIoBuffer",),
 }
 
 CONTROL_KEYWORDS = {
@@ -1095,8 +1094,7 @@ def exits_without(seq, handle, releases):
 
 def check_ea003(model):
     charge_re = re.compile(
-        r"(?:([A-Za-z_]\w*)\s*=\s*[^;=]*?)?\b(" +
-        "|".join(CHARGE_PAIRS) + r")\s*\(\s*([^,();]*)")
+        r"(?:([A-Za-z_]\w*)\s*=\s*[^;=]*?)?\b(" + "|".join(CHARGE_PAIRS) + r")\s*\(")
 
     def flatten(seq, trail):
         for idx, s in enumerate(seq):
@@ -1112,15 +1110,9 @@ def check_ea003(model):
             if s.kind != "plain":
                 continue
             for m in charge_re.finditer(s.text):
-                assigned, api, first_arg = m.group(1), m.group(2), m.group(3)
-                if api == "LockIoBuffer":
-                    handle = first_arg.strip()
-                    if not re.match(r"^[A-Za-z_]\w*$", handle):
-                        continue  # locking a field-held buffer: retained state
-                else:
-                    if assigned is None:
-                        continue  # result unused — the decl site, not a call
-                    handle = assigned
+                handle, api = m.group(1), m.group(2)
+                if handle is None:
+                    continue  # result unused — the decl site, not a call
                 if f.name == api:
                     continue  # the kernel wrapper itself
                 releases = CHARGE_PAIRS[api]

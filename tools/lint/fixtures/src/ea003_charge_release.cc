@@ -1,8 +1,8 @@
 // escort_lint self-test fixture: EA003 charge/release flow pairing.
 //
-// Every handle from AllocPage / AllocIoBuffer / LockIoBuffer must be
-// released, transferred (returned, stored, passed on), or provably null on
-// every exit path of the acquiring function.
+// Every handle from AllocPage / AllocIoBuffer must be released,
+// transferred (returned, stored, passed on), or provably null on every
+// exit path of the acquiring function.
 #include <cstdint>
 
 class AcctOwner;
@@ -18,7 +18,6 @@ class ResourceKernel {
   MemPage* AllocPage(AcctOwner* owner);
   void FreePage(AcctOwner* owner, MemPage* page);
   DiskBuffer* AllocIoBuffer(AcctOwner* owner, uint64_t bytes);
-  void LockIoBuffer(DiskBuffer* buf, AcctOwner* owner);
   void UnlockIoBuffer(DiskBuffer* buf, AcctOwner* owner);
 };
 
@@ -41,14 +40,6 @@ class BlockDriver {
       return;
     }
     page->id = 7;
-  }
-
-  void LockHeldAcrossReturn(DiskBuffer* buf, AcctOwner* owner, bool poll) {
-    kernel_->LockIoBuffer(buf, owner);  // EXPECT: EA003
-    if (poll) {
-      return;
-    }
-    kernel_->UnlockIoBuffer(buf, owner);
   }
 
   // Released on both branches: clean.

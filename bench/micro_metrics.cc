@@ -7,8 +7,6 @@
 //  * the same helpers against a null pointer — the cost when DISABLED
 //    (must stay a single predictable branch),
 //  * histogram Observe — bucket index + three increments,
-//  * DeltaSeries Record — the timer-occupancy path, with the same-bin
-//    coalescing fast path and the bin-advance slow path,
 //  * Registry Sample over a realistic metric population — the 5 ms-tick
 //    cost the sampler event pays,
 //  * SerializeCell — the end-of-run document cost.
@@ -75,34 +73,6 @@ void BM_HistogramObserve(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_HistogramObserve);
-
-void BM_DeltaRecordSameBin(benchmark::State& state) {
-  // The coalescing fast path: repeated deltas inside one time bin append
-  // nothing, they bump the tail bin in place.
-  DeltaSeries s(1 << 20);
-  for (auto _ : state) {
-    MetricRecord(&s, 1000, 1);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_DeltaRecordSameBin);
-
-void BM_DeltaRecordAdvancingBins(benchmark::State& state) {
-  // The slow path: every record opens a fresh bin (vector append).
-  const Cycles interval = 1024;
-  for (auto _ : state) {
-    state.PauseTiming();
-    DeltaSeries s(interval);
-    state.ResumeTiming();
-    Cycles t = 0;
-    for (int i = 0; i < 1024; ++i) {
-      MetricRecord(&s, t, 1);
-      t += interval;
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * 1024);
-}
-BENCHMARK(BM_DeltaRecordAdvancingBins);
 
 void BM_RegistrySample(benchmark::State& state) {
   // A realistic population (the instrumented run registers ~20 metrics);

@@ -192,6 +192,9 @@ class Kernel {
   void SettleIdle();
   // Per-label cycle totals (live owners + retired owners).
   CycleLedger Snapshot();
+  // Cycles of the owners unregistered since the last ResetAccounting, by
+  // label: Snapshot() adds the live owners' cycles to these.
+  const CycleLedger& retired() const { return retired_; }
   // Total cycles charged to anyone since construction.
   Cycles TotalCharged();
   Cycles start_time() const { return start_time_; }

@@ -38,19 +38,6 @@ const char* DetectModeName(DetectMode m) {
   return "?";
 }
 
-bool ParseDetectMode(const std::string& s, DetectMode* out) {
-  if (s == "off") {
-    *out = DetectMode::kOff;
-  } else if (s == "sprt") {
-    *out = DetectMode::kSprt;
-  } else if (s == "baseline") {
-    *out = DetectMode::kBaseline;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 DetectionPolicy::DetectionPolicy(EscortWebServer* server, BlacklistPolicy* blacklist)
     : server_(server), blacklist_(blacklist) {
   if (MetricsRegistry* m = server_->kernel().metrics(); m != nullptr) {

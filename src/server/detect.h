@@ -54,8 +54,6 @@ class Thread;
 enum class DetectMode { kOff, kSprt, kBaseline };
 
 const char* DetectModeName(DetectMode m);
-// Parses "off" / "sprt" / "baseline"; returns false on anything else.
-bool ParseDetectMode(const std::string& s, DetectMode* out);
 
 // Detection thresholds, carried in ExperimentSpec and recorded in the
 // bench JSON spec block.

@@ -162,8 +162,7 @@ bool HealthMonitor::Evaluate(size_t i, Cycles now, uint64_t* delta_out) {
       if (st.ring_filled >= cap) {
         const uint64_t oldest = st.ring[st.ring_next];
         const double window_s =
-            SecondsFromCycles(registry_->config().sample_interval) *
-            static_cast<double>(cap);
+            SecondsFromCycles(kMetricsSampleInterval) * static_cast<double>(cap);
         const double rate = static_cast<double>(v - oldest) / window_s;
         breach = rate < rule.threshold * baseline_rate_;
       }

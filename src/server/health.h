@@ -105,7 +105,7 @@ struct HealthConfig {
   // a loaded benign cell legitimately queues for ~100 ms of lifetime (64
   // clients over ~1000 conns/s is 64 ms by Little's law, and the log2
   // histogram rounds the p99 up to its bucket bound), so the default sits
-  // an order of magnitude above that. Tighten per run via --health-p99-ms.
+  // an order of magnitude above that.
   uint64_t p99_latency_us = 1'000'000;
   uint32_t p99_persistence = 4;
   // Half-open backlog high-water. Deliberately far above the per-subnet

@@ -5,8 +5,6 @@
 #include <limits>
 #include <utility>
 
-#include "src/sim/metrics.h"
-
 namespace escort {
 
 namespace {
@@ -107,17 +105,12 @@ EventQueue::TimerId EventQueue::ScheduleTimerAt(Cycles when, Callback fn) {
   Key key = NextKey(when);
   TimerRef ref =
       wheel_->Arm(TimerKey{key.when, key.stream, key.seq, key.minor}, ctx_.stream, std::move(fn));
-  MetricRecord(timer_series_, now_, 1);
   return (static_cast<TimerId>(ref.index) << 32) | ref.gen;
 }
 
 bool EventQueue::CancelTimer(TimerId id) {
-  if (wheel_ == nullptr ||
-      !wheel_->Cancel(TimerRef{static_cast<uint32_t>(id >> 32), static_cast<uint32_t>(id)})) {
-    return false;
-  }
-  MetricRecord(timer_series_, now_, -1);
-  return true;
+  return wheel_ != nullptr &&
+         wheel_->Cancel(TimerRef{static_cast<uint32_t>(id >> 32), static_cast<uint32_t>(id)});
 }
 
 EventQueue::StreamId EventQueue::NewStream() {
@@ -167,7 +160,6 @@ bool EventQueue::FireNext(Cycles deadline) {
     TimerWheel::Callback fn = wheel_->PopDue(&tk, &exec);
     now_ = tk.when;
     ++fired_;
-    MetricRecord(timer_series_, tk.when, -1);
     RunAs(Context{exec}, fn);
     return true;
   }
@@ -220,12 +212,6 @@ bool EventQueue::PeekNext(Cycles* when) const {
   }
   *when = heap_.front().key.when;
   return true;
-}
-
-void EventQueue::AttachMetrics(MetricsRegistry* m) {
-  timer_series_ = m == nullptr ? nullptr
-                               : ESCORT_METRIC_DELTA(m, "sim.timers_armed",
-                                                     "timer-wheel resident timers");
 }
 
 EventQueue::TimerWheelStats EventQueue::timer_stats() const {

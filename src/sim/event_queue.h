@@ -45,9 +45,6 @@
 
 namespace escort {
 
-class DeltaSeries;
-class MetricsRegistry;
-
 class EventQueue {
  public:
   using Callback = std::function<void()>;
@@ -143,11 +140,8 @@ class EventQueue {
     StreamId prev_;
   };
 
-  // Registers the "sim.timers_armed" occupancy series in `m` (null
-  // detaches). Call before any timer is armed.
-  void AttachMetrics(MetricsRegistry* m);
-
-  // Wheel occupancy for the bench `memory` block.
+  // Wheel occupancy for the bench `memory` block and the
+  // `sim.timers_armed` gauge.
   struct TimerWheelStats {
     uint64_t armed = 0;
     uint64_t high_water = 0;
@@ -245,8 +239,6 @@ class EventQueue {
   Context ctx_;
   Cycles now_ = 0;
   uint64_t fired_ = 0;
-  // Wheel occupancy series; null = metrics off.
-  DeltaSeries* timer_series_ = nullptr;
 };
 
 }  // namespace escort

@@ -1,5 +1,6 @@
 #include "src/sim/metrics.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 
@@ -60,30 +61,6 @@ uint64_t MetricHistogram::Percentile(double p) const {
   return BucketUpperBound(static_cast<uint32_t>(buckets_.size()) - 1);
 }
 
-DeltaSeries::DeltaSeries(Cycles bin_interval) : interval_(bin_interval > 0 ? bin_interval : 1) {}
-
-void DeltaSeries::Record(Cycles when, int64_t delta) {
-  const uint64_t bin = when / interval_;
-  if (!bins_.empty() && bins_.back().first == bin) {
-    bins_.back().second += delta;
-    return;
-  }
-  bins_.emplace_back(bin, delta);
-}
-
-std::vector<std::pair<Cycles, int64_t>> DeltaSeries::Cumulative() const {
-  std::vector<std::pair<Cycles, int64_t>> out;
-  out.reserve(bins_.size());
-  int64_t running = 0;
-  for (const auto& [bin, delta] : bins_) {
-    running += delta;
-    out.emplace_back(bin * interval_, running);
-  }
-  return out;
-}
-
-MetricsRegistry::MetricsRegistry(MetricsConfig config) : config_(std::move(config)) {}
-
 MetricCounter* MetricsRegistry::RegisterCounter(const std::string& name,
                                                 const char* help) {
   auto [it, inserted] = counters_.try_emplace(name);
@@ -101,19 +78,10 @@ MetricHistogram* MetricsRegistry::RegisterHistogram(const std::string& name,
                                                     const char* help) {
   auto it = histograms_.find(name);
   if (it == histograms_.end()) {
-    it = histograms_.emplace(name, HistogramEntry(config_.histogram_buckets)).first;
+    it = histograms_.emplace(name, HistogramEntry(kHistogramBuckets)).first;
     it->second.help = help;
   }
   return &it->second.metric;
-}
-
-DeltaSeries* MetricsRegistry::RegisterDeltaSeries(const std::string& name, const char* help) {
-  auto it = deltas_.find(name);
-  if (it == deltas_.end()) {
-    it = deltas_.emplace(name, DeltaEntry(config_.sample_interval)).first;
-    it->second.help = help;
-  }
-  return &it->second.series;
 }
 
 const MetricCounter* MetricsRegistry::FindCounter(const std::string& name) const {
@@ -146,55 +114,39 @@ void MetricsRegistry::Sample(Cycles now) {
 
 namespace {
 
-void AppendSeries(std::string* out, const std::vector<std::pair<Cycles, int64_t>>& pts) {
-  *out += "[";
+// One "counters" or "gauges" section. `value` is the last sampled value
+// (0 before the first tick), never the live one.
+template <typename Entries>
+void AppendSampledSection(std::string* out, const char* key, const Entries& entries) {
+  *out += "\"";
+  *out += key;
+  *out += "\": [";
   bool first = true;
-  for (const auto& [ts, v] : pts) {
+  for (const auto& [name, e] : entries) {
     if (!first) *out += ",";
     first = false;
-    *out += "[" + Tracer::Num(ts) + "," + SNum(v) + "]";
+    const int64_t last = e.series.empty() ? 0 : e.series.back().value;
+    *out += "\n{\"name\": " + Tracer::Str(name) + ", \"help\": " + Tracer::Str(e.help) +
+            ", \"value\": " + SNum(last) + ", \"series\": [";
+    for (size_t i = 0; i < e.series.size(); ++i) {
+      if (i != 0) *out += ",";
+      *out += "[" + Tracer::Num(e.series[i].ts) + "," + SNum(e.series[i].value) + "]";
+    }
+    *out += "]}";
   }
-  *out += "]";
+  *out += "],\n";
 }
 
 }  // namespace
 
 std::string MetricsRegistry::SerializeCell(const std::string& cell_id) const {
   std::string out = "{\"cell\": " + Tracer::Str(cell_id) +
-                    ", \"sample_interval\": " + Tracer::Num(config_.sample_interval) + ",\n";
-
-  out += "\"counters\": [";
-  bool first = true;
-  for (const auto& [name, e] : counters_) {
-    if (!first) out += ",";
-    first = false;
-    out += "\n{\"name\": " + Tracer::Str(name) + ", \"help\": " + Tracer::Str(e.help) +
-           ", \"value\": " + Tracer::Num(e.metric.value()) + ", \"series\": ";
-    std::vector<std::pair<Cycles, int64_t>> pts;
-    pts.reserve(e.series.size());
-    for (const SeriesPoint& p : e.series) pts.emplace_back(p.ts, p.value);
-    AppendSeries(&out, pts);
-    out += "}";
-  }
-  out += "],\n";
-
-  out += "\"gauges\": [";
-  first = true;
-  for (const auto& [name, e] : gauges_) {
-    if (!first) out += ",";
-    first = false;
-    out += "\n{\"name\": " + Tracer::Str(name) + ", \"help\": " + Tracer::Str(e.help) +
-           ", \"value\": " + SNum(e.metric.value()) + ", \"series\": ";
-    std::vector<std::pair<Cycles, int64_t>> pts;
-    pts.reserve(e.series.size());
-    for (const SeriesPoint& p : e.series) pts.emplace_back(p.ts, p.value);
-    AppendSeries(&out, pts);
-    out += "}";
-  }
-  out += "],\n";
+                    ", \"sample_interval\": " + Tracer::Num(kMetricsSampleInterval) + ",\n";
+  AppendSampledSection(&out, "counters", counters_);
+  AppendSampledSection(&out, "gauges", gauges_);
 
   out += "\"histograms\": [";
-  first = true;
+  bool first = true;
   for (const auto& [name, e] : histograms_) {
     if (!first) out += ",";
     first = false;
@@ -213,24 +165,33 @@ std::string MetricsRegistry::SerializeCell(const std::string& cell_id) const {
     }
     out += "]}";
   }
-  out += "],\n";
-
-  out += "\"deltas\": [";
-  first = true;
-  for (const auto& [name, e] : deltas_) {
-    if (!first) out += ",";
-    first = false;
-    out += "\n{\"name\": " + Tracer::Str(name) + ", \"help\": " + Tracer::Str(e.help) +
-           ", \"series\": ";
-    AppendSeries(&out, e.series.Cumulative());
-    out += "}";
-  }
   out += "]}";
   return out;
 }
 
+void MetricsRegistry::AppendCounterTracks(Tracer* tracer) const {
+  struct Point {
+    Cycles ts;
+    const std::string* name;
+    int64_t value;
+  };
+  std::vector<Point> points;
+  auto collect = [&points](const auto& entries) {
+    for (const auto& [name, e] : entries) {
+      for (const SeriesPoint& p : e.series) points.push_back(Point{p.ts, &name, p.value});
+    }
+  };
+  collect(counters_);
+  collect(gauges_);
+  std::stable_sort(points.begin(), points.end(),
+                   [](const Point& a, const Point& b) { return a.ts < b.ts; });
+  for (const Point& p : points) {
+    tracer->Counter(p.ts, *p.name, {{"value", SNum(p.value)}});
+  }
+}
+
 std::string MetricsRegistry::WrapDocument(const std::vector<std::string>& fragments) {
-  std::string out = "{\n\"escort_metrics_schema\": 2,\n\"cpu_hz\": " + Tracer::Num(kCpuHz) +
+  std::string out = "{\n\"escort_metrics_schema\": 3,\n\"cpu_hz\": " + Tracer::Num(kCpuHz) +
                     ",\n\"cells\": [\n";
   bool first = true;
   for (const std::string& f : fragments) {

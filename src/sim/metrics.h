@@ -1,14 +1,13 @@
-// Deterministic metrics plane: counters, gauges, log2-bucketed histograms
-// and time-binned delta series, sampled into sim-time series and exported
-// as a byte-stable JSON document.
+// Deterministic metrics plane: counters, gauges and log2-bucketed
+// histograms, sampled into sim-time series and exported as a byte-stable
+// JSON document. The series are also the trace's counter tracks
+// (AppendCounterTracks).
 //
 // Determinism contract (same as the tracer, src/sim/trace.h):
 //
 //  * Metrics are mutated only by the cell's own events, in the queue's
 //    deterministic order. `Sample()` runs on stream 0 at fixed sim times,
 //    so the sampled series are a pure function of the spec.
-//  * `DeltaSeries` sums (time-bin, delta) records and serializes the
-//    running total per bin; bin boundaries are fixed sim times.
 //  * Serialization iterates std::map (sorted by metric name) — the
 //    document does not depend on registration order, worker count, or
 //    pointer values. The same `--metrics PATH` document is byte-identical
@@ -27,20 +26,20 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "src/sim/types.h"
 
 namespace escort {
 
-struct MetricsConfig {
-  // Sampling period for counter/gauge series and the health monitor.
-  Cycles sample_interval = CyclesFromMillis(5.0);
-  // Histogram bucket count: bucket 0 holds value 0, bucket k>0 holds
-  // [2^(k-1), 2^k). 40 buckets cover ~1.8 hours of cycle-valued samples.
-  uint32_t histogram_buckets = 40;
-};
+class Tracer;
+
+// Sampling period of the metrics tick: counter/gauge series and the health
+// monitor's rules.
+inline constexpr Cycles kMetricsSampleInterval = CyclesFromMillis(5.0);
+// Histogram bucket count: bucket 0 holds value 0, bucket k>0 holds
+// [2^(k-1), 2^k). 40 buckets cover ~1.8 hours of cycle-valued samples.
+inline constexpr uint32_t kHistogramBuckets = 40;
 
 // Monotonic counter.
 class MetricCounter {
@@ -90,44 +89,17 @@ class MetricHistogram {
   uint64_t sum_ = 0;
 };
 
-// Time-binned running total of +/- deltas, for quantities that change at
-// event rate rather than at sample ticks (timer-wheel occupancy).
-class DeltaSeries {
- public:
-  explicit DeltaSeries(Cycles bin_interval);
-
-  // Records `delta` at sim time `when`; `when` never decreases (it is the
-  // queue's clock). Records in the same bin coalesce.
-  void Record(Cycles when, int64_t delta);
-
-  // The running total at the end of every bin with any activity:
-  // [(bin_start_cycles, value)].
-  std::vector<std::pair<Cycles, int64_t>> Cumulative() const;
-
-  Cycles bin_interval() const { return interval_; }
-
- private:
-  // (bin index, summed delta), bin indices increasing.
-  std::vector<std::pair<uint64_t, int64_t>> bins_;
-  Cycles interval_;
-};
-
 // Registry of named metrics for one experiment cell. Instance-based (no
-// global state); the kernel, event queue and server modules hold a raw
-// pointer that is null when metrics are disabled.
+// global state); the kernel and server modules hold a raw pointer that is
+// null when metrics are disabled.
 class MetricsRegistry {
  public:
-  explicit MetricsRegistry(MetricsConfig config = MetricsConfig{});
-
-  const MetricsConfig& config() const { return config_; }
-
   // Get-or-create by name. Returned pointers are stable for the registry's
   // lifetime. Call through the ESCORT_METRIC_* macros
   // (escort_lint EL015).
   MetricCounter* RegisterCounter(const std::string& name, const char* help);
   MetricGauge* RegisterGauge(const std::string& name, const char* help);
   MetricHistogram* RegisterHistogram(const std::string& name, const char* help);
-  DeltaSeries* RegisterDeltaSeries(const std::string& name, const char* help);
 
   // Lookup without creating (null when absent).
   const MetricCounter* FindCounter(const std::string& name) const;
@@ -138,8 +110,16 @@ class MetricsRegistry {
   // same value). Called from the stream-0 sampler at fixed sim times.
   void Sample(Cycles now);
 
-  // Byte-stable JSON fragment for one sweep cell.
+  // Byte-stable JSON fragment for one sweep cell. A counter's or gauge's
+  // `value` is its last sampled value, so changes after the last tick
+  // (testbed teardown) never reach the document.
   std::string SerializeCell(const std::string& cell_id) const;
+
+  // Appends every counter and gauge series point to `tracer` as a counter
+  // event named after the metric, merged by timestamp (ties in
+  // serialization order: counters, then gauges, each by name), so the
+  // counter track never goes backwards. Call once, at the end of the run.
+  void AppendCounterTracks(Tracer* tracer) const;
 
   // Wraps per-cell fragments (grid order) into the pinned document.
   static std::string WrapDocument(const std::vector<std::string>& fragments);
@@ -164,19 +144,12 @@ class MetricsRegistry {
     MetricHistogram metric;
     explicit HistogramEntry(uint32_t buckets) : metric(buckets) {}
   };
-  struct DeltaEntry {
-    std::string help;
-    DeltaSeries series;
-    explicit DeltaEntry(Cycles interval) : series(interval) {}
-  };
 
-  const MetricsConfig config_;
   // std::map: sorted iteration makes serialization independent of
   // registration order (EL004-friendly, byte-stable).
   std::map<std::string, CounterEntry> counters_;
   std::map<std::string, GaugeEntry> gauges_;
   std::map<std::string, HistogramEntry> histograms_;
-  std::map<std::string, DeltaEntry> deltas_;
 };
 
 // Null-safe hot-path helpers: one pointer test when metrics are disabled.
@@ -192,9 +165,6 @@ inline void MetricSet(MetricGauge* g, int64_t v) {
 inline void MetricObserve(MetricHistogram* h, uint64_t v) {
   if (h != nullptr) h->Observe(v);
 }
-inline void MetricRecord(DeltaSeries* s, Cycles when, int64_t delta) {
-  if (s != nullptr) s->Record(when, delta);
-}
 
 // EL015: all metric registration goes through these macros so the linter
 // can spot ad-hoc registration calls and static counters elsewhere.
@@ -204,8 +174,6 @@ inline void MetricRecord(DeltaSeries* s, Cycles when, int64_t delta) {
   ((registry)->RegisterGauge((name), (help)))
 #define ESCORT_METRIC_HISTOGRAM(registry, name, help) \
   ((registry)->RegisterHistogram((name), (help)))
-#define ESCORT_METRIC_DELTA(registry, name, help) \
-  ((registry)->RegisterDeltaSeries((name), (help)))
 
 }  // namespace escort
 

@@ -1,10 +1,11 @@
 // Deterministic trace subsystem: Chrome trace-event JSON timelines.
 //
 // The tracer turns Escort's resource accounting into inspectable
-// timelines: per-owner ledger balances become counter tracks, path
-// lifecycles become duration spans, and policy actions (runaway
-// detection, blacklist inserts, pathKill) become instant events. The
-// output loads directly into Perfetto / chrome://tracing.
+// timelines: the metrics registry's series (per-label ledger balances
+// among them) become counter tracks, path lifecycles become duration
+// spans, and policy actions (runaway detection, blacklist inserts,
+// pathKill) become instant events. The output loads directly into
+// Perfetto / chrome://tracing.
 //
 // Determinism contract
 // --------------------
@@ -35,8 +36,9 @@ namespace escort {
 
 // Output locations. Tracing is on wherever a component holds a Tracer; the
 // owner of the tracers writes the trace document (the sweep runner merges
-// every cell into one file). The ledger counter tracks are sampled by the
-// metrics tick (MetricsConfig::sample_interval).
+// every cell into one file). The counter tracks are the metrics registry's
+// series, appended once at the end of the run
+// (MetricsRegistry::AppendCounterTracks).
 struct TraceConfig {
   std::string path;  // the trace document; names the default flight dump
 
@@ -84,7 +86,8 @@ class Tracer {
   // Instant event (ph "I").
   void Instant(Cycles ts, const std::string& track, const std::string& name,
                const char* category, Args args = {});
-  // Counter sample (ph "C"): `series` maps series name -> value.
+  // Counter sample (ph "C"): `series` maps series name -> value. Written
+  // only by MetricsRegistry::AppendCounterTracks, after Finalize.
   void Counter(Cycles ts, const std::string& name, Args series);
 
   // Closes every still-open span at `ts` so the output always balances.

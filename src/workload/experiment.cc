@@ -80,9 +80,6 @@ struct Testbed {
 std::unique_ptr<Testbed> BuildTestbed(const ExperimentSpec& spec, Tracer* tracer = nullptr,
                                       MetricsRegistry* metrics = nullptr) {
   auto tb = std::make_unique<Testbed>();
-  // Attach before any timer is armed, so the occupancy series covers
-  // every arm/fire/cancel of the run.
-  tb->eq.AttachMetrics(metrics);
   tb->link = std::make_unique<SharedLink>(&tb->eq, NetworkModel::Calibrated());
 
   if (spec.linux_server) {
@@ -187,73 +184,101 @@ std::unique_ptr<Testbed> BuildTestbed(const ExperimentSpec& spec, Tracer* tracer
   return tb;
 }
 
-// One instrumentation tick; any of registry, health and tracer may be
-// null. A single kernel ledger snapshot feeds the per-account
-// `kernel.cycles.<label>` gauges and, when tracing, the ledger counter
-// tracks: cycles per account label plus live pages, threads and IOBuffer
-// locks aggregated per label (through a string-keyed map, so track
-// emission is sorted by label). Then every counter/gauge is snapshotted
-// into its sim-time series and the health monitor evaluates its SLO
-// rules.
-void SampleMetrics(MetricsRegistry* registry, HealthMonitor* health, Tracer* tracer,
-                   Kernel* kernel, Cycles now) {
-  CycleLedger snapshot = kernel->Snapshot();
-  for (const auto& [label, cycles] : snapshot.totals()) {
-    if (registry != nullptr) {
-      MetricSet(ESCORT_METRIC_GAUGE(registry, "kernel.cycles." + label,
-                                    "cycles charged to this ledger account"),
-                static_cast<int64_t>(cycles));
+// The one instrumentation tick (DESIGN.md §6.10): a self-rescheduling
+// stream-0 event every kMetricsSampleInterval, bounded by `end` so RunUntil
+// always drains. Scheduled from the main context and rescheduled from its
+// own, both stream 0, so the sampled series and every incident decision
+// are part of the queue's deterministic total order.
+class MetricsSampler {
+ public:
+  MetricsSampler(EventQueue* eq, Kernel* kernel, MetricsRegistry* registry,
+                 HealthMonitor* health, Cycles end)
+      : eq_(eq),
+        kernel_(kernel),
+        registry_(registry),
+        health_(health),
+        end_(end),
+        timers_armed_(ESCORT_METRIC_GAUGE(registry, "sim.timers_armed",
+                                          "timer-wheel resident timers")) {}
+  MetricsSampler(const MetricsSampler&) = delete;
+  MetricsSampler& operator=(const MetricsSampler&) = delete;
+
+  void ScheduleAt(Cycles at) {
+    if (at > end_) {
+      return;
     }
-    if (tracer != nullptr) {
-      tracer->Counter(now, "cycles/" + label, {{"cycles", Tracer::Num(cycles)}});
-    }
+    eq_->ScheduleAt(at, [this, at] {
+      Sample(eq_->now());
+      ScheduleAt(at + kMetricsSampleInterval);
+    });
   }
 
-  if (tracer != nullptr) {
-    struct Balances {
-      uint64_t pages = 0;
-      uint64_t threads = 0;
-      uint64_t iobuffer_locks = 0;
-    };
-    std::map<std::string, Balances> balances;
-    for (const auto& [id, rec] : kernel->account_labels()) {
-      Balances& b = balances[rec.label];
+ private:
+  // One account label's ledger gauges, looked up when the label first
+  // appears, and its sums for the tick being taken (zero between ticks).
+  struct Label {
+    MetricGauge* cycles = nullptr;
+    MetricGauge* pages = nullptr;
+    MetricGauge* threads = nullptr;
+    MetricGauge* iobuffer_locks = nullptr;
+    ResourceUsage sum;
+  };
+
+  Label& LabelFor(const std::string& label) {
+    auto [it, inserted] = labels_.try_emplace(label);
+    Label& l = it->second;
+    if (inserted) {
+      l.cycles = ESCORT_METRIC_GAUGE(registry_, "kernel.cycles." + label,
+                                     "cycles charged to this ledger account");
+      l.pages = ESCORT_METRIC_GAUGE(registry_, "kernel.pages." + label,
+                                    "pages held by this account's live owners");
+      l.threads = ESCORT_METRIC_GAUGE(registry_, "kernel.threads." + label,
+                                      "threads of this account's live owners");
+      l.iobuffer_locks = ESCORT_METRIC_GAUGE(registry_, "kernel.iobuffer_locks." + label,
+                                             "IOBuffer locks held by this account's live owners");
+    }
+    return l;
+  }
+
+  // One pass over the kernel's owners sets the four gauges of every label
+  // seen so far: its cycles as Kernel::Snapshot() counts them (retired
+  // owners included; 0 for a label Snapshot() no longer lists) and its
+  // live owners' pages, threads and IOBuffer locks. Then every counter and
+  // gauge is snapshotted into its series and the health monitor evaluates
+  // its SLO rules.
+  void Sample(Cycles now) {
+    kernel_->SettleIdle();
+    for (const auto& [name, cycles] : kernel_->retired().totals()) {
+      LabelFor(name).sum.cycles += cycles;
+    }
+    for (const auto& [id, rec] : kernel_->account_labels()) {
+      Label& l = LabelFor(rec.label);
       const ResourceUsage& u = rec.owner->usage();
-      b.pages += u.pages;
-      b.threads += u.threads;
-      b.iobuffer_locks += u.iobuffer_locks;
+      l.sum.cycles += u.cycles;
+      l.sum.pages += u.pages;
+      l.sum.threads += u.threads;
+      l.sum.iobuffer_locks += u.iobuffer_locks;
     }
-    for (const auto& [label, b] : balances) {
-      tracer->Counter(now, "pages/" + label, {{"pages", Tracer::Num(b.pages)}});
-      tracer->Counter(now, "threads/" + label, {{"threads", Tracer::Num(b.threads)}});
-      tracer->Counter(now, "iobufs/" + label, {{"locks", Tracer::Num(b.iobuffer_locks)}});
+    for (auto& [name, l] : labels_) {
+      l.cycles->Set(static_cast<int64_t>(l.sum.cycles));
+      l.pages->Set(static_cast<int64_t>(l.sum.pages));
+      l.threads->Set(static_cast<int64_t>(l.sum.threads));
+      l.iobuffer_locks->Set(static_cast<int64_t>(l.sum.iobuffer_locks));
+      l.sum = ResourceUsage{};
     }
+    timers_armed_->Set(static_cast<int64_t>(eq_->timer_stats().armed));
+    registry_->Sample(now);
+    health_->Sample(now);
   }
 
-  if (registry != nullptr) {
-    registry->Sample(now);
-  }
-  if (health != nullptr) {
-    health->Sample(now);
-  }
-}
-
-// Self-rescheduling stream-0 sampler, bounded by `end` so RunUntil always
-// drains. Scheduled from the main context (stream 0) and rescheduled from
-// its own execution context (also stream 0), so the sampled series, the
-// trace tracks and every incident decision are part of the queue's
-// deterministic total order.
-void ScheduleMetricsSampler(EventQueue* eq, MetricsRegistry* registry, HealthMonitor* health,
-                            Tracer* tracer, Kernel* kernel, Cycles at, Cycles interval,
-                            Cycles end) {
-  if (at > end) {
-    return;
-  }
-  eq->ScheduleAt(at, [eq, registry, health, tracer, kernel, at, interval, end] {
-    SampleMetrics(registry, health, tracer, kernel, eq->now());
-    ScheduleMetricsSampler(eq, registry, health, tracer, kernel, at + interval, interval, end);
-  });
-}
+  EventQueue* eq_;
+  Kernel* kernel_;
+  MetricsRegistry* registry_;
+  HealthMonitor* health_;
+  Cycles end_;
+  MetricGauge* timers_armed_;
+  std::map<std::string, Label> labels_;
+};
 
 }  // namespace
 
@@ -269,29 +294,24 @@ ExperimentResult RunExperiment(const ExperimentSpec& spec) {
   std::unique_ptr<MetricsRegistry> owned_metrics;
   MetricsRegistry* metrics = spec.metrics_registry;
   if (metrics == nullptr && spec.collect_metrics) {
-    owned_metrics = std::make_unique<MetricsRegistry>(spec.metrics);
+    owned_metrics = std::make_unique<MetricsRegistry>();
     metrics = owned_metrics.get();
   }
 
   auto tb = BuildTestbed(spec, tracer, metrics);
   EventQueue& eq = tb->eq;
 
+  Cycles run_end = CyclesFromSeconds(warmup_s) + CyclesFromSeconds(window_s);
   std::unique_ptr<HealthMonitor> health;
+  std::unique_ptr<MetricsSampler> sampler;
   if (metrics != nullptr && tb->server != nullptr) {
-    HealthConfig hc = spec.health;
-    if (hc.total_pages == 0) {
-      hc.total_pages = tb->server->kernel().pages().total_pages();
-    }
+    HealthConfig hc;
+    hc.total_pages = tb->server->kernel().pages().total_pages();
     health = std::make_unique<HealthMonitor>(metrics, hc);
     health->set_tracer(tracer);
-  }
-
-  Cycles run_end = CyclesFromSeconds(warmup_s) + CyclesFromSeconds(window_s);
-  if (tb->server != nullptr && (metrics != nullptr || tracer != nullptr)) {
-    const MetricsConfig& mc = metrics != nullptr ? metrics->config() : spec.metrics;
-    Cycles interval = mc.sample_interval > 0 ? mc.sample_interval : CyclesFromMillis(5.0);
-    ScheduleMetricsSampler(&eq, metrics, health.get(), tracer, &tb->server->kernel(), 0,
-                           interval, run_end);
+    sampler = std::make_unique<MetricsSampler>(&eq, &tb->server->kernel(), metrics, health.get(),
+                                               run_end);
+    sampler->ScheduleAt(0);
   }
 
   double sim_start_ms = MonotonicMillis();
@@ -395,6 +415,9 @@ ExperimentResult RunExperiment(const ExperimentSpec& spec) {
 
   if (tracer != nullptr) {
     tracer->Finalize(window_end);
+    if (metrics != nullptr) {
+      metrics->AppendCounterTracks(tracer);
+    }
     // Detach before teardown: the trace is finalized; teardown-time
     // pathKill events (for paths surviving the window) are bookkeeping,
     // not part of the deterministic trace stream.

@@ -39,16 +39,13 @@ struct ExperimentSpec {
   Tracer* tracer = nullptr;                // not owned
 
   // Deterministic metrics plane (src/sim/metrics.h). Collection is on by
-  // default — the registry feeds the HealthMonitor, so incidents land in
-  // the bench JSON even without --metrics. RunExperiment writes no file:
+  // default — the registry feeds the HealthMonitor (default SLO rules), so
+  // incidents land in the bench JSON even without --metrics, and its
+  // series are the trace's counter tracks. RunExperiment writes no file:
   // for --metrics the sweep runner passes a per-cell `metrics_registry`
   // sink and merges the cells into one document itself.
-  MetricsConfig metrics;
   MetricsRegistry* metrics_registry = nullptr;  // not owned
   bool collect_metrics = true;
-  // SLO rules for the HealthMonitor (incident detection). Always active
-  // when collect_metrics is on; thresholds are overridable per run.
-  HealthConfig health;
 };
 
 // Memory footprint of one cell: slab/wheel occupancy and reservations at

@@ -33,28 +33,17 @@ namespace {
     std::fprintf(stderr, "unknown argument: %s\n", bad);
   }
   std::fprintf(stderr,
-               "usage: %s [--quick] [--jobs N] [--clients N] [--detect MODE]\n"
+               "usage: %s [--quick] [--jobs N]\n"
                "       [--json PATH] [--trace PATH] [--metrics PATH]\n"
                "  --quick      run the bench's reduced grid\n"
                "  --jobs N     worker threads (default: hardware concurrency)\n"
-               "  --clients N  override every cell's regular-client count (the\n"
-               "               scale axis; up to 16M)\n"
-               "  --detect MODE\n"
-               "               online attack detection in every cell: off\n"
-               "               (default), sprt, or baseline (src/server/detect.h)\n"
                "  --json PATH  also write machine-readable results to PATH\n"
                "  --trace PATH write a deterministic Chrome trace (Perfetto /\n"
                "               chrome://tracing) covering every cell\n"
                "  --metrics PATH\n"
                "               write a deterministic metrics JSON (counters,\n"
                "               gauges, histograms, sim-time series) covering\n"
-               "               every cell; byte-identical across --jobs\n"
-               "  --health-p99-ms MS\n"
-               "               p99 connection-lifetime SLO for incident\n"
-               "               detection (default 100)\n"
-               "  --health-goodput-frac F\n"
-               "               goodput-collapse fraction of the warmup baseline\n"
-               "               (default 0.35)\n",
+               "               every cell; byte-identical across --jobs\n",
                argv0);
   std::exit(2);
 }
@@ -66,34 +55,14 @@ namespace {
 
 // `--jobs fast` must be an error, not a silent fall-through to the
 // hardware-concurrency default (atoi("fast") == 0 would do exactly that).
-int ParseCount(const char* argv0, const char* flag, const char* value, long max) {
+int ParseJobs(const char* argv0, const char* value) {
   char* end = nullptr;
   long n = std::strtol(value, &end, 10);
-  if (end == value || *end != '\0' || n < 1 || n > max) {
-    std::fprintf(stderr, "%s expects an integer in [1, %ld], got '%s'\n", flag, max, value);
+  if (end == value || *end != '\0' || n < 1 || n > 4096) {
+    std::fprintf(stderr, "--jobs expects an integer in [1, 4096], got '%s'\n", value);
     UsageAndExit(argv0, nullptr);
   }
   return static_cast<int>(n);
-}
-
-int ParseJobs(const char* argv0, const char* value) {
-  return ParseCount(argv0, "--jobs", value, 4096);
-}
-
-int ParseClients(const char* argv0, const char* value) {
-  return ParseCount(argv0, "--clients", value, 16'000'000);
-}
-
-// Same strictness as ParseCount for the health-rule thresholds:
-// `--health-p99-ms fast` must be an error, not a silent 0.
-double ParsePositiveDouble(const char* argv0, const char* flag, const char* value) {
-  char* end = nullptr;
-  double v = std::strtod(value, &end);
-  if (end == value || *end != '\0' || !std::isfinite(v) || v <= 0.0) {
-    std::fprintf(stderr, "%s expects a positive number, got '%s'\n", flag, value);
-    UsageAndExit(argv0, nullptr);
-  }
-  return v;
 }
 
 void AppendDouble(std::string* out, double v) {
@@ -135,14 +104,6 @@ SweepOptions ParseSweepArgs(int argc, char** argv) {
       opts.jobs = ParseJobs(argv[0], argv[++i]);
     } else if (std::strncmp(a, "--jobs=", 7) == 0) {
       opts.jobs = ParseJobs(argv[0], a + 7);
-    } else if (std::strcmp(a, "--clients") == 0 && i + 1 < argc) {
-      opts.clients = ParseClients(argv[0], argv[++i]);
-    } else if (std::strncmp(a, "--clients=", 10) == 0) {
-      opts.clients = ParseClients(argv[0], a + 10);
-    } else if (std::strcmp(a, "--detect") == 0 && i + 1 < argc) {
-      opts.detect = argv[++i];
-    } else if (std::strncmp(a, "--detect=", 9) == 0) {
-      opts.detect = a + 9;
     } else if (std::strcmp(a, "--json") == 0 && i + 1 < argc) {
       opts.json_path = argv[++i];
     } else if (std::strncmp(a, "--json=", 7) == 0) {
@@ -155,16 +116,6 @@ SweepOptions ParseSweepArgs(int argc, char** argv) {
       opts.metrics_path = argv[++i];
     } else if (std::strncmp(a, "--metrics=", 10) == 0) {
       opts.metrics_path = a + 10;
-    } else if (std::strcmp(a, "--health-p99-ms") == 0 && i + 1 < argc) {
-      opts.health_p99_ms = ParsePositiveDouble(argv[0], "--health-p99-ms", argv[++i]);
-    } else if (std::strncmp(a, "--health-p99-ms=", 16) == 0) {
-      opts.health_p99_ms = ParsePositiveDouble(argv[0], "--health-p99-ms", a + 16);
-    } else if (std::strcmp(a, "--health-goodput-frac") == 0 && i + 1 < argc) {
-      opts.health_goodput_frac =
-          ParsePositiveDouble(argv[0], "--health-goodput-frac", argv[++i]);
-    } else if (std::strncmp(a, "--health-goodput-frac=", 22) == 0) {
-      opts.health_goodput_frac =
-          ParsePositiveDouble(argv[0], "--health-goodput-frac", a + 22);
     } else {
       UsageAndExit(argv[0], a);
     }
@@ -193,30 +144,11 @@ SweepCell& Sweep::AddCustom(std::string id, const ExperimentSpec& spec, CellFn r
 
 void Sweep::Run(const SweepOptions& opts) {
   jobs_used_ = opts.jobs <= 0 ? HardwareConcurrency() : opts.jobs;
-  // --detect: resolve the mode once for the whole sweep.
-  bool override_detect = !opts.detect.empty();
-  DetectMode detect_mode = DetectMode::kOff;
-  if (override_detect && !ParseDetectMode(opts.detect, &detect_mode)) {
-    Die("unknown --detect mode '" + opts.detect + "' (off, sprt, baseline)");
-  }
   // Resolve the env overrides once, up front, so every cell runs — and is
   // recorded in the JSON — with the warmup/window actually used.
   for (SweepCell& cell : cells_) {
     cell.spec.warmup_s = EnvSeconds("ESCORT_WARMUP_S", cell.spec.warmup_s);
     cell.spec.window_s = EnvSeconds("ESCORT_WINDOW_S", cell.spec.window_s);
-    if (opts.clients > 0) {
-      cell.spec.clients = opts.clients;
-    }
-    if (override_detect) {
-      cell.spec.detect.mode = detect_mode;
-    }
-    // Health-rule overrides (--health-p99-ms / --health-goodput-frac).
-    if (opts.health_p99_ms > 0.0) {
-      cell.spec.health.p99_latency_us = static_cast<uint64_t>(opts.health_p99_ms * 1000.0);
-    }
-    if (opts.health_goodput_frac > 0.0) {
-      cell.spec.health.goodput_collapse_frac = opts.health_goodput_frac;
-    }
   }
   // Tracing: each cell gets its own sink (cells run concurrently), and the
   // per-cell buffers are merged in grid order afterwards — one trace
@@ -240,7 +172,7 @@ void Sweep::Run(const SweepOptions& opts) {
   if (!opts.metrics_path.empty()) {
     registries.resize(cells_.size());
     for (size_t i = 0; i < cells_.size(); ++i) {
-      registries[i] = std::make_unique<MetricsRegistry>(cells_[i].spec.metrics);
+      registries[i] = std::make_unique<MetricsRegistry>();
       cells_[i].spec.metrics_registry = registries[i].get();
     }
   }

@@ -16,14 +16,6 @@
 //
 // Every bench built on this harness accepts:
 //   --jobs N     worker threads (default: hardware concurrency)
-//   --clients N  override every cell's regular-client count (the scale
-//                axis; Figure 8's million-client cells). Recorded in the
-//                JSON spec.
-//   --detect MODE
-//                online attack detection for every cell: off (default:
-//                keep each spec's own mode), sprt, or baseline
-//                (src/server/detect.h). Recorded in the JSON spec; the
-//                per-cell `detection` block carries the decisions.
 //   --json PATH  machine-readable BENCH_*.json output for the perf
 //                trajectory, alongside the human-readable tables
 //   --trace PATH deterministic Chrome trace-event JSON of every cell
@@ -35,10 +27,6 @@
 //                metrics.h: counters, gauges, log2 histograms, sim-time
 //                series; merged in grid order, byte-identical across
 //                --jobs — the same contract as --trace).
-//   --health-p99-ms MS / --health-goodput-frac F
-//                HealthMonitor SLO overrides (src/server/health.h): the
-//                p99 connection-lifetime threshold and the goodput-
-//                collapse fraction of the warmup baseline.
 //   --quick      the bench's reduced grid
 
 #ifndef SRC_WORKLOAD_SWEEP_H_
@@ -83,22 +71,14 @@ struct CellResult {
 
 struct SweepOptions {
   int jobs = 0;            // <= 0: hardware concurrency
-  int clients = 0;         // <= 0: keep each spec's own value
-  // "" keeps each spec's own detection mode; else "off", "sprt", or
-  // "baseline" (--detect).
-  std::string detect;
   std::string json_path;    // empty: no JSON emitted
   std::string trace_path;   // empty: no trace emitted
   std::string metrics_path; // empty: no standalone metrics document
-  // <= 0: keep the HealthConfig defaults (src/server/health.h).
-  double health_p99_ms = 0.0;
-  double health_goodput_frac = 0.0;
   bool quick = false;
 };
 
-// Parses the common bench flags (--jobs N, --clients N, --detect MODE,
-// --json PATH, --trace PATH, --metrics PATH, --health-p99-ms MS,
-// --health-goodput-frac F, --quick).
+// Parses the common bench flags (--jobs N, --json PATH, --trace PATH,
+// --metrics PATH, --quick).
 // Prints usage and exits with status 2 on an unknown argument.
 SweepOptions ParseSweepArgs(int argc, char** argv);
 

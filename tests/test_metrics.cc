@@ -1,21 +1,18 @@
-// Metrics-plane core tests: log2 histogram bucket math, the DeltaSeries
-// running total (differential against a naive reference), the pinned
-// metrics-JSON schema, byte-identity of the --metrics document across
-// --jobs, and zero perturbation of simulation results when metrics
-// collection is toggled.
+// Metrics-plane core tests: log2 histogram bucket math, the pinned
+// metrics-JSON schema (a counter's or gauge's `value` is its last sample),
+// byte-identity of the --metrics document across --jobs, testbed teardown
+// staying out of the document, and zero perturbation of simulation results
+// when metrics collection is toggled.
 
 #include <cstdint>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/sim/metrics.h"
-#include "src/sim/rng.h"
 #include "src/workload/sweep.h"
 
 namespace escort {
@@ -66,64 +63,13 @@ TEST(MetricHistogramTest, ObserveAndPercentiles) {
   EXPECT_EQ(h.Percentile(1.0), 255u);
 }
 
-// --- delta series: differential vs a naive reference ---------------------
-
-// The running total must equal the per-bin sum of the recorded deltas,
-// prefix-summed.
-TEST(DeltaSeriesTest, MatchesNaiveReference) {
-  const Cycles kInterval = 1000;
-  const int kEvents = 5000;
-  Rng rng(0xE5C0A7u);
-
-  // One global event sequence with non-decreasing times (as produced by
-  // a forward-running simulation).
-  std::vector<std::pair<Cycles, int64_t>> events;
-  events.reserve(kEvents);
-  Cycles when = 0;
-  for (int i = 0; i < kEvents; ++i) {
-    when += rng.NextBelow(300);
-    const int64_t delta = static_cast<int64_t>(rng.NextBelow(7)) - 3;
-    events.emplace_back(when, delta);
-  }
-
-  // Naive serial reference: sum per bin, then prefix-sum.
-  std::map<uint64_t, int64_t> by_bin;
-  for (const auto& [t, d] : events) by_bin[t / kInterval] += d;
-  std::vector<std::pair<Cycles, int64_t>> want;
-  int64_t running = 0;
-  for (const auto& [bin, d] : by_bin) {
-    running += d;
-    want.emplace_back(bin * kInterval, running);
-  }
-
-  DeltaSeries s(kInterval);
-  for (const auto& [t, d] : events) {
-    s.Record(t, d);
-  }
-  EXPECT_EQ(s.Cumulative(), want);
-}
-
-TEST(DeltaSeriesTest, CoalescesWithinBin) {
-  DeltaSeries s(100);
-  s.Record(10, 1);
-  s.Record(20, 2);  // same bin, coalesces
-  s.Record(150, 5);
-  auto merged = s.Cumulative();
-  ASSERT_EQ(merged.size(), 2u);
-  EXPECT_EQ(merged[0], (std::pair<Cycles, int64_t>{0, 3}));
-  EXPECT_EQ(merged[1], (std::pair<Cycles, int64_t>{100, 8}));
-}
-
 // --- golden JSON schema --------------------------------------------------
 
 // Pins the exact serialized form. A diff here is a schema change: update
 // the golden string AND tools/ consumers (check_bench_json.py renderers,
 // DESIGN.md §6.10) together.
 TEST(MetricsRegistryTest, GoldenDocument) {
-  MetricsConfig mc;
-  mc.sample_interval = 100;
-  mc.histogram_buckets = 8;
-  MetricsRegistry reg(mc);
+  MetricsRegistry reg;
 
   ESCORT_METRIC_COUNTER(&reg, "a.count", "alpha")->Add(3);
   ESCORT_METRIC_GAUGE(&reg, "g", "gee")->Set(-2);
@@ -131,15 +77,11 @@ TEST(MetricsRegistryTest, GoldenDocument) {
   h->Observe(0);
   h->Observe(1);
   h->Observe(5);
-  DeltaSeries* s = ESCORT_METRIC_DELTA(&reg, "s", "ess");
-  s->Record(0, 1);
-  s->Record(50, 5);
-  s->Record(150, 2);
   reg.Sample(100);
 
   const std::string cell = reg.SerializeCell("golden");
   const std::string want_cell =
-      "{\"cell\": \"golden\", \"sample_interval\": 100,\n"
+      "{\"cell\": \"golden\", \"sample_interval\": 1500000,\n"
       "\"counters\": [\n"
       "{\"name\": \"a.count\", \"help\": \"alpha\", \"value\": 3, "
       "\"series\": [[100,3]]}],\n"
@@ -148,13 +90,11 @@ TEST(MetricsRegistryTest, GoldenDocument) {
       "\"series\": [[100,-2]]}],\n"
       "\"histograms\": [\n"
       "{\"name\": \"h\", \"help\": \"aitch\", \"count\": 3, \"sum\": 6, "
-      "\"p50\": 0, \"p90\": 1, \"p99\": 1, \"buckets\": [1,1,0,1]}],\n"
-      "\"deltas\": [\n"
-      "{\"name\": \"s\", \"help\": \"ess\", \"series\": [[0,6],[100,8]]}]}";
+      "\"p50\": 0, \"p90\": 1, \"p99\": 1, \"buckets\": [1,1,0,1]}]}";
   EXPECT_EQ(cell, want_cell);
 
   const std::string doc = MetricsRegistry::WrapDocument({cell});
-  const std::string want_doc = "{\n\"escort_metrics_schema\": 2,\n\"cpu_hz\": " +
+  const std::string want_doc = "{\n\"escort_metrics_schema\": 3,\n\"cpu_hz\": " +
                                std::to_string(kCpuHz) + ",\n\"cells\": [\n" +
                                want_cell + "\n]\n}\n";
   EXPECT_EQ(doc, want_doc);
@@ -172,12 +112,36 @@ TEST(MetricsRegistryTest, SampleCoalescesRepeatedValues) {
   EXPECT_NE(cell.find("\"series\": [[10,1],[30,2]]"), std::string::npos) << cell;
 }
 
+// The document reports what the ticks saw: a change after the last sample
+// (testbed teardown, in a sweep) reaches neither the series nor `value`.
+TEST(MetricsRegistryTest, ValueIsTheLastSample) {
+  MetricsRegistry reg;
+  MetricCounter* c = ESCORT_METRIC_COUNTER(&reg, "c", "c");
+  MetricGauge* g = ESCORT_METRIC_GAUGE(&reg, "g", "g");
+  c->Add(2);
+  g->Set(5);
+  reg.Sample(10);
+  c->Add(7);
+  g->Set(-1);
+  ESCORT_METRIC_COUNTER(&reg, "late", "l")->Add(3);
+  const std::string cell = reg.SerializeCell("x");
+  EXPECT_NE(cell.find("\"name\": \"c\", \"help\": \"c\", \"value\": 2, \"series\": [[10,2]]"),
+            std::string::npos)
+      << cell;
+  EXPECT_NE(cell.find("\"name\": \"g\", \"help\": \"g\", \"value\": 5, \"series\": [[10,5]]"),
+            std::string::npos)
+      << cell;
+  // Registered after the last tick: no sample, so 0.
+  EXPECT_NE(cell.find("\"name\": \"late\", \"help\": \"l\", \"value\": 0, \"series\": []"),
+            std::string::npos)
+      << cell;
+}
+
 TEST(MetricsRegistryTest, NullSafeHelpersNoOp) {
   MetricAdd(static_cast<MetricCounter*>(nullptr));
   MetricAdd(static_cast<MetricGauge*>(nullptr), 3);
   MetricSet(nullptr, 5);
-  MetricObserve(nullptr, 9);
-  MetricRecord(nullptr, 100, 1);  // all must be safe no-ops
+  MetricObserve(nullptr, 9);  // all must be safe no-ops
 }
 
 // --- byte-identity across --jobs ----------------------------------------
@@ -225,6 +189,28 @@ TEST(MetricsDeterminismTest, DocumentByteIdenticalAcrossJobs) {
       EXPECT_EQ(doc, reference) << "metrics document differs at jobs=" << jobs;
     }
   }
+}
+
+// The sweep serializes each cell's registry after RunExperiment has torn
+// the testbed down, and teardown kills every surviving path: TCP reports
+// each as a `path-killed` outcome. No path is killed during a benign run,
+// so a document that carries the last sampled values reads 0.
+TEST(MetricsDeterminismTest, TeardownDoesNotReachTheDocument) {
+  const std::string path = testing::TempDir() + "metrics_teardown.json";
+  Sweep sweep("metrics_teardown");
+  sweep.Add("benign", SmallGrid().front().spec);
+  SweepOptions opts;
+  opts.jobs = 1;
+  opts.metrics_path = path;
+  sweep.Run(opts);
+  ASSERT_EQ(sweep.Result("benign").paths_killed, 0u);
+  const std::string doc = Slurp(path);
+  const std::string entry =
+      "\"name\": \"tcp.outcomes.path-killed\", \"help\": \"terminal connection outcomes\", "
+      "\"value\": ";
+  const size_t at = doc.find(entry);
+  ASSERT_NE(at, std::string::npos) << doc;
+  EXPECT_EQ(doc.compare(at + entry.size(), 2, "0,"), 0) << doc.substr(at, 160);
 }
 
 // A failed final flush is a failed write. On a full device fwrite only

@@ -1,15 +1,19 @@
 // Trace subsystem tests (src/sim/trace.h): span bookkeeping and the
 // flight-recorder ring in isolation, then the system-level guarantees —
-// the same experiment produces a byte-identical trace on every run,
-// tracing never perturbs measured results, and flight dumps fire on
-// pathKill and on audit violations with the preceding events intact.
+// the same experiment produces a byte-identical trace on every run, its
+// counter tracks are exactly the metrics registry's series, tracing never
+// perturbs measured results, and flight dumps fire on pathKill and on
+// audit violations with the preceding events intact.
 
 #include "src/sim/trace.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "src/kernel/audit.h"
 #include "src/sim/event_queue.h"
@@ -123,8 +127,77 @@ TEST(Trace, ByteIdenticalAcrossRuns) {
   // transitions, and ledger counter tracks.
   EXPECT_NE(doc1.find("\"path:"), std::string::npos);
   EXPECT_NE(doc1.find("tcp:SYN_RECVD->ESTABLISHED"), std::string::npos);
-  EXPECT_NE(doc1.find("cycles/"), std::string::npos);
-  EXPECT_NE(doc1.find("pages/"), std::string::npos);
+  EXPECT_NE(doc1.find("kernel.cycles."), std::string::npos);
+  EXPECT_NE(doc1.find("kernel.pages."), std::string::npos);
+}
+
+using CounterPoint = std::tuple<std::string, Cycles, int64_t>;  // (name, ts, value)
+
+// Every counter and gauge series point of one metrics-document cell.
+std::vector<CounterPoint> RegistryPoints(const std::string& cell) {
+  std::vector<CounterPoint> out;
+  const std::string key = "{\"name\": \"";
+  const size_t end = cell.find("\"histograms\"");
+  for (size_t pos = cell.find(key); pos < end; pos = cell.find(key, pos + 1)) {
+    const size_t name_at = pos + key.size();
+    const std::string name = cell.substr(name_at, cell.find('"', name_at) - name_at);
+    size_t at = cell.find("\"series\": [", pos) + 11;
+    unsigned long long ts = 0;
+    long long value = 0;
+    int used = 0;
+    while (std::sscanf(cell.c_str() + at, "[%llu,%lld]%n", &ts, &value, &used) == 2) {
+      out.emplace_back(name, ts, value);
+      at += static_cast<size_t>(used);
+      at += cell[at] == ',' ? 1 : 0;
+    }
+  }
+  return out;
+}
+
+// The trace's counter tracks are rendered from the registry at the end of
+// the run: their events are exactly its counter and gauge series points,
+// and the counter track (tid 0) never goes backwards.
+TEST(Trace, CounterTracksAreTheRegistrySeries) {
+  Tracer tracer(TraceConfig{});
+  MetricsRegistry registry;
+  ExperimentSpec spec = AttackSpec();
+  spec.tracer = &tracer;
+  spec.metrics_registry = &registry;
+  RunExperiment(spec);
+  std::vector<CounterPoint> want = RegistryPoints(registry.SerializeCell("x"));
+
+  const std::string doc = tracer.SerializeStandalone();
+  const std::string name_key = "\"name\":\"";
+  const std::string value_key = "\"args\":{\"value\":";
+  std::vector<CounterPoint> got;
+  Cycles last_ts = 0;
+  for (size_t pos = doc.find("{\"ph\":\"C\""); pos != std::string::npos;
+       pos = doc.find("{\"ph\":\"C\"", pos + 1)) {
+    unsigned long long ts = 0;
+    unsigned tid = 0;
+    long long value = 0;
+    ASSERT_EQ(std::sscanf(doc.c_str() + pos, "{\"ph\":\"C\",\"ts\":%llu,\"pid\":0,\"tid\":%u",
+                          &ts, &tid),
+              2);
+    ASSERT_EQ(std::sscanf(doc.c_str() + doc.find(value_key, pos) + value_key.size(), "%lld",
+                          &value),
+              1);
+    EXPECT_EQ(tid, 0u);
+    EXPECT_GE(ts, last_ts) << "counter track goes backwards";
+    last_ts = ts;
+    const size_t name_at = doc.find(name_key, pos) + name_key.size();
+    got.emplace_back(doc.substr(name_at, doc.find('"', name_at) - name_at), ts, value);
+  }
+
+  ASSERT_GT(want.size(), 0u);
+  EXPECT_NE(std::find_if(want.begin(), want.end(),
+                         [](const CounterPoint& p) {
+                           return std::get<0>(p).rfind("kernel.pages.", 0) == 0;
+                         }),
+            want.end());
+  std::sort(want.begin(), want.end());
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, want);
 }
 
 // With no output path a flight dump stays in memory: the incident the
@@ -193,6 +266,8 @@ TEST(Trace, FlightDumpOnPathKill) {
   // The ring preserved context from before the kill: the runaway
   // detection that triggered it.
   EXPECT_NE(dump.find("runaway-detection"), std::string::npos);
+  // Counter tracks are written at the end of the run, never into a dump.
+  EXPECT_EQ(dump.find("\"ph\":\"C\""), std::string::npos);
 
   FILE* f = std::fopen(tc.ResolvedFlightPath().c_str(), "rb");
   ASSERT_NE(f, nullptr);

@@ -2,6 +2,6 @@
 #include "src/sim/metrics.h"
 void Wire(MetricsRegistry* m) {
   auto* drops = m->RegisterCounter("net.drops", "dropped SYNs");  // EXPECT: EL015
-  m->RegisterDeltaSeries("sim.timers", "armed timers");  // EXPECT: EL015
+  m->RegisterGauge("sim.timers_armed", "armed timers");  // EXPECT: EL015
   (void)drops;
 }

@@ -12,76 +12,14 @@
 // best-effort throughput recovers.
 
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "src/server/policy.h"
 #include "src/workload/sweep.h"
 
 using namespace escort;
 
 namespace {
-
-// One sweep cell: its own testbed (32 best-effort clients + the attack),
-// with or without the blacklist policy. Everything mutable is cell-local.
-CellMetrics RunBlacklistCell(const ExperimentSpec& spec, bool blacklist) {
-  EventQueue eq;
-  SharedLink link(&eq, NetworkModel::Calibrated());
-  WebServerOptions opts;
-  opts.config = ServerConfig::kAccounting;
-  EscortWebServer server(&eq, &link, opts);
-  std::unique_ptr<BlacklistPolicy> policy;
-  if (blacklist) {
-    BlacklistPolicy::Options popts;
-    popts.strikes = 1;
-    popts.penalty_syn_limit = 1;
-    policy = std::make_unique<BlacklistPolicy>(&server, popts);
-  }
-
-  std::vector<std::unique_ptr<ClientMachine>> machines;
-  std::vector<std::unique_ptr<HttpClient>> clients;
-  std::vector<std::unique_ptr<CgiAttacker>> cgi;
-  RateMeter completions;
-
-  auto add_machine = [&](Ip4Addr ip, uint64_t mac, uint64_t seed) {
-    machines.push_back(std::make_unique<ClientMachine>(&eq, &link, MacAddr::FromIndex(mac), ip,
-                                                       NetworkModel::Calibrated(), seed));
-    machines.back()->AddArpEntry(opts.ip, opts.mac);
-    server.AddArpEntry(ip, machines.back()->mac());
-    return machines.back().get();
-  };
-
-  for (int i = 0; i < spec.clients; ++i) {
-    ClientMachine* m = add_machine(Ip4Addr::FromOctets(10, 0, 1, static_cast<uint8_t>(i + 1)),
-                                   100 + static_cast<uint64_t>(i), 7 + static_cast<uint64_t>(i));
-    clients.push_back(std::make_unique<HttpClient>(m, opts.ip, "/doc1b"));
-    clients.back()->set_meter(&completions);
-    clients.back()->Start(CyclesFromMillis(i));
-  }
-  for (int i = 0; i < spec.cgi_attackers; ++i) {
-    ClientMachine* m = add_machine(Ip4Addr::FromOctets(10, 0, 3, static_cast<uint8_t>(i + 1)),
-                                   200 + static_cast<uint64_t>(i), 99 + static_cast<uint64_t>(i));
-    // Aggressive: one attack every 100 ms per attacker.
-    cgi.push_back(std::make_unique<CgiAttacker>(m, opts.ip, CyclesFromMillis(100)));
-    cgi.back()->Start(CyclesFromMillis(3 * i));
-  }
-
-  eq.RunUntil(CyclesFromSeconds(spec.warmup_s));
-  completions.OpenWindow(eq.now());
-  eq.RunUntil(eq.now() + CyclesFromSeconds(spec.window_s));
-
-  CellMetrics m;
-  m.experiment.conns_per_sec = completions.CloseWindow(eq.now());
-  m.experiment.completions_total = completions.total();
-  m.experiment.paths_killed = server.paths_killed();
-  double penalty_drops = 0;
-  if (policy != nullptr) {
-    penalty_drops = static_cast<double>(policy->penalty_listener()->syns_dropped_at_demux);
-  }
-  m.extra = {{"penalty_drops", penalty_drops}};
-  return m;
-}
 
 std::string CellId(int attackers, bool blacklist) {
   return std::string(blacklist ? "on" : "off") + "/a" + std::to_string(attackers);
@@ -94,6 +32,8 @@ int main(int argc, char** argv) {
   const std::vector<int> attacker_counts =
       opts.quick ? std::vector<int>{0, 5} : std::vector<int>{0, 2, 5, 10};
 
+  // 32 best-effort clients against aggressive attackers (one attack every
+  // 100 ms each), with and without the blacklist policy.
   Sweep sweep("ext_blacklist");
   for (int attackers : attacker_counts) {
     for (bool blacklist : {false, true}) {
@@ -101,11 +41,9 @@ int main(int argc, char** argv) {
       spec.config = ServerConfig::kAccounting;
       spec.clients = 32;
       spec.cgi_attackers = attackers;
-      sweep.AddCustom(CellId(attackers, blacklist), spec,
-                      [blacklist](const ExperimentSpec& s) {
-                        return RunBlacklistCell(s, blacklist);
-                      })
-          .tags = {{"blacklist", blacklist ? "on" : "off"}};
+      spec.cgi_attack_period = CyclesFromMillis(100);
+      spec.blacklist = blacklist;
+      sweep.Add(CellId(attackers, blacklist), spec);
     }
   }
   sweep.Run(opts);
@@ -117,11 +55,12 @@ int main(int argc, char** argv) {
   for (int attackers : attacker_counts) {
     const ExperimentResult& off = sweep.Result(CellId(attackers, false));
     const ExperimentResult& on = sweep.Result(CellId(attackers, true));
+    // The trusted listener drops no SYNs here, so the demux drops are the
+    // penalty listener's.
     std::printf("%10d | %14.1f %8llu | %14.1f %8llu %14llu\n", attackers, off.conns_per_sec,
                 static_cast<unsigned long long>(off.paths_killed), on.conns_per_sec,
                 static_cast<unsigned long long>(on.paths_killed),
-                static_cast<unsigned long long>(sweep.Extra(CellId(attackers, true),
-                                                            "penalty_drops")));
+                static_cast<unsigned long long>(on.syns_dropped_at_demux));
   }
   std::printf("\nWith the blacklist, each offender burns its 2 ms budget once; afterwards its\n"
               "SYNs demux to the penalty passive path and are mostly dropped there, so the\n"

@@ -30,43 +30,36 @@ struct Row {
   Cycles acct_pd;
 };
 
-Cycles PerRequest(Cycles total, uint64_t requests) { return total / requests; }
+constexpr uint64_t kRequests = 100;
 
-// Serial accuracy measurement as a sweep cell: the ledger rides in the
-// common result block, the bracketed totals as named extras.
-CellMetrics AccuracyCell(const ExperimentSpec& spec) {
-  AccuracyResult a = RunAccountingAccuracy(spec.config, 100);
-  CellMetrics m;
-  m.experiment.ledger = a.ledger;
-  m.extra = {{"total_measured", static_cast<double>(a.total_measured)},
-             {"requests", static_cast<double>(a.requests)}};
-  return m;
-}
+Cycles PerRequest(Cycles total, uint64_t requests) { return total / requests; }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   SweepOptions opts = ParseSweepArgs(argc, argv);
 
+  // Each cell's window covers exactly the serial requests, so its ledger
+  // splits the window's cycles ("Total Measured") by owner.
   Sweep sweep("table1_accuracy");
   for (ServerConfig config : {ServerConfig::kAccounting, ServerConfig::kAccountingPd}) {
     ExperimentSpec spec;
     spec.config = config;
-    spec.clients = 0;
-    sweep.AddCustom(ServerConfigName(config), spec, AccuracyCell).tags = {
-        {"measurement", "serial_accuracy"}};
+    spec.stop = StopRule::kSerialRequests;
+    spec.stop_count = kRequests;
+    sweep.Add(ServerConfigName(config), spec).tags = {{"measurement", "serial_accuracy"}};
   }
   sweep.Run(opts);
 
   std::printf("=== Table 1: cycles per one-byte request, by owner (100 serial requests) ===\n\n");
 
-  const std::string acct_id = ServerConfigName(ServerConfig::kAccounting);
-  const std::string pd_id = ServerConfigName(ServerConfig::kAccountingPd);
-  const CycleLedger& acct = sweep.Result(acct_id).ledger;
-  const CycleLedger& pd = sweep.Result(pd_id).ledger;
-  const uint64_t n = static_cast<uint64_t>(sweep.Extra(acct_id, "requests"));
-  const Cycles measured_acct_total = static_cast<Cycles>(sweep.Extra(acct_id, "total_measured"));
-  const Cycles measured_pd_total = static_cast<Cycles>(sweep.Extra(pd_id, "total_measured"));
+  const ExperimentResult& acct_run = sweep.Result(ServerConfigName(ServerConfig::kAccounting));
+  const ExperimentResult& pd_run = sweep.Result(ServerConfigName(ServerConfig::kAccountingPd));
+  const CycleLedger& acct = acct_run.ledger;
+  const CycleLedger& pd = pd_run.ledger;
+  const uint64_t n = kRequests;
+  const Cycles measured_acct_total = acct_run.window_cycles;
+  const Cycles measured_pd_total = pd_run.window_cycles;
 
   // "Softclock" covers the kernel pseudo-owner: softclock ticks, interrupt
   // handling for dropped frames, reclamation (see DESIGN.md).

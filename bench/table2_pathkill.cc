@@ -14,26 +14,8 @@ using namespace escort;
 
 namespace {
 
-CellMetrics KillCostCell(const ExperimentSpec& spec) {
-  KillCostResult k = RunKillCost(spec.config, 10);
-  CellMetrics m;
-  m.experiment.paths_killed = k.kills;
-  m.experiment.kill_cost_mean = k.mean_cycles;
-  m.extra = {{"kill_cost_min", k.min_cycles},
-             {"kill_cost_max", k.max_cycles},
-             {"kills", static_cast<double>(k.kills)}};
-  return m;
-}
-
-// Context the paper gives: the full-PD kill is ~10% of the cycles used to
-// satisfy a single 1-byte request.
-CellMetrics PdRequestCostCell(const ExperimentSpec& spec) {
-  AccuracyResult a = RunAccountingAccuracy(spec.config, 20);
-  CellMetrics m;
-  m.experiment.ledger = a.ledger;
-  m.extra = {{"requests", static_cast<double>(a.requests)}};
-  return m;
-}
+constexpr uint64_t kKills = 10;
+constexpr uint64_t kRequests = 20;
 
 }  // namespace
 
@@ -46,15 +28,19 @@ int main(int argc, char** argv) {
     spec.config = config;
     spec.clients = 0;
     spec.cgi_attackers = 1;
-    sweep.AddCustom(std::string("kill/") + ServerConfigName(config), spec, KillCostCell).tags = {
+    spec.stop = StopRule::kKills;
+    spec.stop_count = kKills;
+    sweep.Add(std::string("kill/") + ServerConfigName(config), spec).tags = {
         {"measurement", "kill_cost"}};
   }
   {
+    // Context the paper gives: the full-PD kill is ~10% of the cycles used
+    // to satisfy a single 1-byte request.
     ExperimentSpec spec;
     spec.config = ServerConfig::kAccountingPd;
-    spec.clients = 0;
-    sweep.AddCustom("request_cost/pd", spec, PdRequestCostCell).tags = {
-        {"measurement", "serial_accuracy"}};
+    spec.stop = StopRule::kSerialRequests;
+    spec.stop_count = kRequests;
+    sweep.Add("request_cost/pd", spec).tags = {{"measurement", "serial_accuracy"}};
   }
   sweep.Run(opts);
 
@@ -79,8 +65,7 @@ int main(int argc, char** argv) {
               " kernel-held resources such as device buffers or connection state.)\n");
 
   const ExperimentResult& pd_req = sweep.Result("request_cost/pd");
-  double req_cycles = static_cast<double>(pd_req.ledger.Total()) /
-                      sweep.Extra("request_cost/pd", "requests");
+  double req_cycles = static_cast<double>(pd_req.ledger.Total()) / static_cast<double>(kRequests);
   std::printf("\nAccounting_PD kill cost vs one 1-byte request: %.1f%%  (paper: ~10%%)\n",
               100.0 * pd.kill_cost_mean / req_cycles);
   return sweep.failed_count() == 0 ? 0 : 1;

@@ -19,6 +19,33 @@ uint32_t SubnetOf(Ip4Addr addr) { return addr.value >> 8; }
 
 constexpr double kMicroNatScale = static_cast<double>(1 << 20);
 
+// SPRT: decide H1 (attack) with false-positive probability <= alpha and
+// miss probability <= beta, against bad-outcome rates lambda0 (benign)
+// vs. lambda1 (attacking).
+constexpr double kSprtAlpha = 0.01;
+constexpr double kSprtBeta = 0.02;
+constexpr double kSprtLambda0 = 0.33;
+constexpr double kSprtLambda1 = 0.60;
+// After a subnet is reported, ignore its outcomes this long before
+// restarting the test (the penalty path needs time to bite; without a
+// holdoff every dropped penalty SYN would re-report immediately).
+constexpr Cycles kSprtHoldoff = CyclesFromMillis(500);
+
+// Baseline: flag a path whose consumption exceeds mean + k*sigma of its
+// class, once the class has at least kBaselineMinSamples warmup
+// observations.
+constexpr double kBaselineKSigma = 3.0;
+constexpr uint64_t kBaselineMinSamples = 16;
+// Lower bound on sigma as a fraction of the mean (plus one unit). The
+// simulator is deterministic, so a class of identical requests has
+// sigma == 0 exactly and mean + k*sigma becomes a knife edge that flags
+// one-cycle jitter; the floor demands a real multiple of the norm.
+constexpr double kBaselineSigmaFloorFrac = 0.25;
+// The periodic scan backstops the per-item ledger watch: it catches
+// outliers whose threads are blocked (a hoarder that stopped running
+// never re-enters the kernel on its own).
+constexpr Cycles kBaselineScanPeriod = CyclesFromMillis(5.0);
+
 // Request class: the stable account label, i.e. the path name minus the
 // per-path "#<counter>" suffix PathManager::Create appends.
 std::string ClassOf(const Path& path) {
@@ -87,14 +114,14 @@ int64_t SprtDetector::MicroNats(double x) {
 }
 
 SprtDetector::SprtDetector(EscortWebServer* server, BlacklistPolicy* blacklist,
-                           const DetectSpec& spec)
-    : DetectionPolicy(server, blacklist), spec_(spec) {
+                           const DetectSpec& /*spec*/)
+    : DetectionPolicy(server, blacklist) {
   // Wald's increments and boundaries, converted to micro-nats exactly once
   // — observation-time arithmetic is pure integer addition/comparison.
-  inc_bad_ = MicroNats(spec_.sprt_lambda1 / spec_.sprt_lambda0);
-  inc_good_ = MicroNats((1.0 - spec_.sprt_lambda1) / (1.0 - spec_.sprt_lambda0));
-  accept_llr_ = MicroNats((1.0 - spec_.sprt_beta) / spec_.sprt_alpha);
-  reject_llr_ = MicroNats(spec_.sprt_beta / (1.0 - spec_.sprt_alpha));
+  inc_bad_ = MicroNats(kSprtLambda1 / kSprtLambda0);
+  inc_good_ = MicroNats((1.0 - kSprtLambda1) / (1.0 - kSprtLambda0));
+  accept_llr_ = MicroNats((1.0 - kSprtBeta) / kSprtAlpha);
+  reject_llr_ = MicroNats(kSprtBeta / (1.0 - kSprtAlpha));
   server_->tcp()->conn_outcome_hook = [this](Ip4Addr remote, TcpConnOutcome outcome) {
     Observe(remote, outcome);
   };
@@ -136,7 +163,7 @@ void SprtDetector::Observe(Ip4Addr remote, TcpConnOutcome outcome) {
     ReportDetection(remote, "sprt");
     st.llr = 0;
     st.observations = 0;
-    st.holdoff_until = now + spec_.sprt_holdoff;
+    st.holdoff_until = now + kSprtHoldoff;
     MetricSet(st.llr_gauge, st.llr);
   } else if (st.llr <= reject_llr_) {
     // H0 accepted: benign. Restart the test so the subnet stays watched.
@@ -150,10 +177,8 @@ void SprtDetector::Observe(Ip4Addr remote, TcpConnOutcome outcome) {
 // BaselineDetector
 
 BaselineDetector::BaselineDetector(EscortWebServer* server, BlacklistPolicy* blacklist,
-                                   const DetectSpec& spec, Cycles warmup)
-    : DetectionPolicy(server, blacklist),
-      spec_(spec),
-      warmup_end_(server->kernel().now() + warmup) {
+                                   const DetectSpec& /*spec*/, Cycles warmup)
+    : DetectionPolicy(server, blacklist), warmup_end_(server->kernel().now() + warmup) {
   server_->paths().set_teardown_hook(
       [this](Path* path, bool killed) { OnTeardown(path, killed); });
   server_->kernel().set_ledger_watch(
@@ -162,8 +187,8 @@ BaselineDetector::BaselineDetector(EscortWebServer* server, BlacklistPolicy* bla
   // makes cheap): a kernel-owned periodic event, like the softclock.
   // NOLINT-EA001(kernel-owned event: the kernel outlives the sweep cell; the detector cancels it in its destructor before the server dies)
   scan_event_ = server_->kernel().RegisterEvent(
-      server_->kernel().kernel_owner(), "detect-scan", spec_.baseline_scan_period,
-      spec_.baseline_scan_period, server_->kernel().costs().tcp_timeout_scan, kKernelDomain,
+      server_->kernel().kernel_owner(), "detect-scan", kBaselineScanPeriod,
+      kBaselineScanPeriod, server_->kernel().costs().tcp_timeout_scan, kKernelDomain,
       [this] { ScanLivePaths(); });
 }
 
@@ -231,17 +256,17 @@ bool BaselineDetector::DimensionExceeds(const Moments& m, uint64_t n, uint64_t v
     var = 0.0;
   }
   double sigma = std::sqrt(var);
-  double sigma_floor = spec_.baseline_sigma_floor_frac * mean + 1.0;
+  double sigma_floor = kBaselineSigmaFloorFrac * mean + 1.0;
   if (sigma < sigma_floor) {
     sigma = sigma_floor;
   }
-  return static_cast<double>(value) > mean + spec_.baseline_k_sigma * sigma;
+  return static_cast<double>(value) > mean + kBaselineKSigma * sigma;
 }
 
 bool BaselineDetector::IsOutlier(const std::string& cls, uint64_t kilocycles, uint64_t pages,
                                  uint64_t iobuffer_locks) const {
   auto it = classes_.find(cls);
-  if (it == classes_.end() || it->second.n < spec_.baseline_min_samples) {
+  if (it == classes_.end() || it->second.n < kBaselineMinSamples) {
     return false;  // unlearned class: never flag on ignorance
   }
   const ClassStats& st = it->second;

@@ -55,36 +55,11 @@ enum class DetectMode { kOff, kSprt, kBaseline };
 
 const char* DetectModeName(DetectMode m);
 
-// Detection thresholds, carried in ExperimentSpec and recorded in the
-// bench JSON spec block.
+// Which detector a cell runs, carried in ExperimentSpec and recorded in the
+// bench JSON spec block. The detectors' thresholds are constants in
+// detect.cc.
 struct DetectSpec {
   DetectMode mode = DetectMode::kOff;
-
-  // SPRT: decide H1 (attack) with false-positive probability <= alpha and
-  // miss probability <= beta, against bad-outcome rates lambda0 (benign)
-  // vs. lambda1 (attacking).
-  double sprt_alpha = 0.01;
-  double sprt_beta = 0.02;
-  double sprt_lambda0 = 0.33;
-  double sprt_lambda1 = 0.60;
-  // After a subnet is reported, ignore its outcomes this long before
-  // restarting the test (the penalty path needs time to bite; without a
-  // holdoff every dropped penalty SYN would re-report immediately).
-  Cycles sprt_holdoff = CyclesFromMillis(500);
-
-  // Baseline: flag a path whose consumption exceeds mean + k*sigma of its
-  // class, once the class has at least min_samples warmup observations.
-  double baseline_k_sigma = 3.0;
-  uint64_t baseline_min_samples = 16;
-  // Lower bound on sigma as a fraction of the mean (plus one unit). The
-  // simulator is deterministic, so a class of identical requests has
-  // sigma == 0 exactly and mean + k*sigma becomes a knife edge that flags
-  // one-cycle jitter; the floor demands a real multiple of the norm.
-  double baseline_sigma_floor_frac = 0.25;
-  // The periodic scan backstops the per-item ledger watch: it catches
-  // outliers whose threads are blocked (a hoarder that stopped running
-  // never re-enters the kernel on its own).
-  Cycles baseline_scan_period = CyclesFromMillis(5.0);
 };
 
 // One confirmed detection. `subnet` is the /24 key (addr >> 8); `source`
@@ -157,7 +132,6 @@ class SprtDetector : public DetectionPolicy {
     MetricGauge* llr_gauge = nullptr;
   };
 
-  const DetectSpec spec_;
   int64_t inc_bad_ = 0;     // ln(lambda1/lambda0), micro-nats (> 0)
   int64_t inc_good_ = 0;    // ln((1-lambda1)/(1-lambda0)), micro-nats (< 0)
   int64_t accept_llr_ = 0;  // A = ln((1-beta)/alpha): decide attack
@@ -218,7 +192,6 @@ class BaselineDetector : public DetectionPolicy {
   void ScanLivePaths();
   bool DimensionExceeds(const Moments& m, uint64_t n, uint64_t value) const;
 
-  const DetectSpec spec_;
   const Cycles warmup_end_;
   bool frozen_ = false;
   uint64_t paths_killed_ = 0;

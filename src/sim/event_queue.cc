@@ -185,7 +185,7 @@ bool EventQueue::FireNext(Cycles deadline) {
   return true;
 }
 
-bool EventQueue::Step() { return FireNext(kNever); }
+bool EventQueue::Step(Cycles deadline) { return FireNext(deadline); }
 
 void EventQueue::RunUntil(Cycles deadline) {
   while (FireNext(deadline)) {

@@ -37,6 +37,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -150,9 +151,9 @@ class EventQueue {
   };
   TimerWheelStats timer_stats() const;
 
-  // Fires the next pending entry, advancing time to its deadline.
-  // Returns false if the queue is empty.
-  bool Step();
+  // Fires the next pending entry due at or before `deadline`, advancing
+  // time to its deadline. Returns false if there is none.
+  bool Step(Cycles deadline = std::numeric_limits<Cycles>::max());
 
   // Runs entries until `deadline` (inclusive). Time is left at `deadline`
   // even if the queue drains earlier.

@@ -2,12 +2,22 @@
 
 #include <cstdlib>
 #include <map>
+#include <stdexcept>
 
 #include "src/kernel/audit.h"
 #include "src/server/policy.h"
 #include "src/sim/parallel.h"
 
 namespace escort {
+
+const char* StopRuleName(StopRule rule) {
+  switch (rule) {
+    case StopRule::kWindow: return "window";
+    case StopRule::kSerialRequests: return "serial_requests";
+    case StopRule::kKills: return "kills";
+  }
+  return "?";
+}
 
 double EnvSeconds(const char* name, double fallback) {
   const char* v = std::getenv(name);
@@ -77,8 +87,8 @@ struct Testbed {
   RateMeter completions;
 };
 
-std::unique_ptr<Testbed> BuildTestbed(const ExperimentSpec& spec, Tracer* tracer = nullptr,
-                                      MetricsRegistry* metrics = nullptr) {
+std::unique_ptr<Testbed> BuildTestbed(const ExperimentSpec& spec, Tracer* tracer,
+                                      MetricsRegistry* metrics) {
   auto tb = std::make_unique<Testbed>();
   tb->link = std::make_unique<SharedLink>(&tb->eq, NetworkModel::Calibrated());
 
@@ -100,17 +110,19 @@ std::unique_ptr<Testbed> BuildTestbed(const ExperimentSpec& spec, Tracer* tracer
     // Every experiment run doubles as a resource-conservation audit
     // (enforced — i.e. violations abort — under ESCORT_AUDIT builds).
     tb->audit = std::make_unique<AuditScope>(&tb->server->kernel());
-    if (spec.detect.mode != DetectMode::kOff) {
-      // Detections chain into the §4.4.4 blacklist: one confirmed
-      // detection is one strike, and the baseline learns from the
-      // env-resolved warmup window (same clock RunExperiment uses).
+    if (spec.blacklist || spec.detect.mode != DetectMode::kOff) {
+      // One strike blacklists. Runaway kills record strikes only in
+      // blacklist cells: in a detection cell the detector alone feeds the
+      // blacklist, so the measured containment (and every false positive)
+      // is attributable to it.
       BlacklistPolicy::Options bl;
-      bl.strikes = 1;
-      // The blacklist is fed ONLY by the detector: static-policy kills do
-      // not record strikes in detection cells, so the measured containment
-      // (and every false positive) is attributable to the detector.
-      bl.chain_violation_hook = false;
+      bl.chain_violation_hook = spec.blacklist;
       tb->blacklist = std::make_unique<BlacklistPolicy>(tb->server.get(), bl);
+    }
+    if (spec.detect.mode != DetectMode::kOff) {
+      // Detections chain into the blacklist: one confirmed detection is
+      // one strike, and the baseline learns from the env-resolved warmup
+      // window (same clock RunExperiment uses).
       tb->detector =
           MakeDetector(tb->server.get(), tb->blacklist.get(), spec.detect,
                        CyclesFromSeconds(EnvSeconds("ESCORT_WARMUP_S", spec.warmup_s)));
@@ -122,10 +134,10 @@ std::unique_ptr<Testbed> BuildTestbed(const ExperimentSpec& spec, Tracer* tracer
   // are ordered by them.
   auto actor_stream = [&]() { return tb->eq.NewStream(); };
 
-  auto add_machine = [&](Ip4Addr ip, uint64_t mac_index, uint64_t seed) {
+  auto add_machine = [&](Ip4Addr ip, uint64_t mac_index, const NetworkModel& model,
+                         uint64_t seed) {
     auto machine = std::make_unique<ClientMachine>(
-        &tb->eq, tb->link.get(), MacAddr::FromIndex(mac_index), ip,
-        NetworkModel::Calibrated(), seed, &tb->peers);
+        &tb->eq, tb->link.get(), MacAddr::FromIndex(mac_index), ip, model, seed, &tb->peers);
     machine->AddArpEntry(kServerIp, kServerMac);
     if (tb->server != nullptr) {
       tb->server->AddArpEntry(ip, machine->mac());
@@ -134,11 +146,17 @@ std::unique_ptr<Testbed> BuildTestbed(const ExperimentSpec& spec, Tracer* tracer
     return tb->machines.back().get();
   };
 
-  // Regular clients.
+  // Regular clients. Table 1's serial client runs on the paper's
+  // micro-measurement host: a fast client, so idle time reflects the wire,
+  // not a slow client.
+  NetworkModel client_model = NetworkModel::Calibrated();
+  if (spec.stop == StopRule::kSerialRequests) {
+    client_model.client_processing = CyclesFromMicros(250);
+  }
   for (int i = 0; i < spec.clients; ++i) {
     EventQueue::StreamScope scope(&tb->eq, actor_stream());
-    ClientMachine* m =
-        add_machine(ClientIp(i), ClientMacIndex(i), 0xc11e47 + static_cast<uint64_t>(i));
+    ClientMachine* m = add_machine(ClientIp(i), ClientMacIndex(i), client_model,
+                                   0xc11e47 + static_cast<uint64_t>(i));
     auto client = std::make_unique<HttpClient>(m, kServerIp, spec.doc);
     client->set_meter(&tb->completions);
     client->Start(CyclesFromMillis(static_cast<double>(i % 37) * 0.9));
@@ -149,8 +167,9 @@ std::unique_ptr<Testbed> BuildTestbed(const ExperimentSpec& spec, Tracer* tracer
   for (int i = 0; i < spec.cgi_attackers; ++i) {
     EventQueue::StreamScope scope(&tb->eq, actor_stream());
     ClientMachine* m = add_machine(CgiAttackerIp(i), 200 + static_cast<uint64_t>(i),
+                                   NetworkModel::Calibrated(),
                                    0xa77acc + static_cast<uint64_t>(i));
-    auto attacker = std::make_unique<CgiAttacker>(m, kServerIp);
+    auto attacker = std::make_unique<CgiAttacker>(m, kServerIp, spec.cgi_attack_period);
     attacker->Start(CyclesFromMillis(5.0 + static_cast<double>(i % 50) * 19.0));
     tb->cgi_attackers.push_back(std::move(attacker));
   }
@@ -183,6 +202,11 @@ std::unique_ptr<Testbed> BuildTestbed(const ExperimentSpec& spec, Tracer* tracer
 
   return tb;
 }
+
+// Table 1's serial protocol (StopRule::kSerialRequests): warm-up requests,
+// then an idle gap that lets their teardown settle before the window opens.
+constexpr uint64_t kSerialWarmupRequests = 5;
+constexpr Cycles kSerialSettle = CyclesFromMillis(50);
 
 // The one instrumentation tick (DESIGN.md §6.10): a self-rescheduling
 // stream-0 event every kMetricsSampleInterval, bounded by `end` so RunUntil
@@ -301,7 +325,12 @@ ExperimentResult RunExperiment(const ExperimentSpec& spec) {
   auto tb = BuildTestbed(spec, tracer, metrics);
   EventQueue& eq = tb->eq;
 
-  Cycles run_end = CyclesFromSeconds(warmup_s) + CyclesFromSeconds(window_s);
+  // The window rule ends with its window. A count rule ends at a deadline
+  // of one simulated second per counted event plus two. The sampler stops
+  // there too.
+  const Cycles run_end = spec.stop == StopRule::kWindow
+                             ? CyclesFromSeconds(warmup_s) + CyclesFromSeconds(window_s)
+                             : CyclesFromSeconds(static_cast<double>(spec.stop_count) + 2.0);
   std::unique_ptr<HealthMonitor> health;
   std::unique_ptr<MetricsSampler> sampler;
   if (metrics != nullptr && tb->server != nullptr) {
@@ -314,22 +343,63 @@ ExperimentResult RunExperiment(const ExperimentSpec& spec) {
     sampler->ScheduleAt(0);
   }
 
+  // Opens the measurement window at the current time.
+  auto open_window = [&] {
+    Cycles now = eq.now();
+    tb->completions.OpenWindow(now);
+    if (health != nullptr) {
+      health->OpenWindow(now);
+    }
+    if (tb->qos_receiver != nullptr) {
+      tb->qos_receiver->meter().OpenWindow(now);
+    }
+    if (tb->server != nullptr) {
+      tb->server->kernel().ResetAccounting();
+    }
+    return now;
+  };
+  // Fires events until `done()` holds. Reaching the deadline first fails
+  // the cell instead of reporting a short measurement.
+  auto step_until = [&](auto done) {
+    while (!done()) {
+      if (!eq.Step(run_end)) {
+        throw std::runtime_error(std::string(StopRuleName(spec.stop)) +
+                                 " rule: deadline reached short of a count of " +
+                                 std::to_string(spec.stop_count));
+      }
+    }
+  };
+
   double sim_start_ms = MonotonicMillis();
-  eq.RunUntil(CyclesFromSeconds(warmup_s));
-
-  Cycles window_start = eq.now();
-  tb->completions.OpenWindow(window_start);
-  if (health != nullptr) {
-    health->OpenWindow(window_start);
+  Cycles window_start = 0;
+  switch (spec.stop) {
+    case StopRule::kWindow:
+      eq.RunUntil(CyclesFromSeconds(warmup_s));
+      window_start = open_window();
+      eq.RunUntil(window_start + CyclesFromSeconds(window_s));
+      break;
+    case StopRule::kSerialRequests: {
+      if (tb->clients.size() != 1) {
+        throw std::invalid_argument("the serial-requests rule needs exactly one client");
+      }
+      HttpClient& client = *tb->clients.front();
+      client.max_requests = kSerialWarmupRequests;
+      step_until([&] { return client.completed() >= kSerialWarmupRequests; });
+      eq.RunUntil(eq.now() + kSerialSettle);
+      window_start = open_window();
+      client.max_requests = kSerialWarmupRequests + spec.stop_count;
+      client.Start();
+      step_until([&] { return client.completed() >= client.max_requests; });
+      break;
+    }
+    case StopRule::kKills:
+      if (tb->server == nullptr) {
+        throw std::invalid_argument("the kills rule needs the Escort server");
+      }
+      window_start = open_window();
+      step_until([&] { return tb->server->paths_killed() >= spec.stop_count; });
+      break;
   }
-  if (tb->qos_receiver != nullptr) {
-    tb->qos_receiver->meter().OpenWindow(window_start);
-  }
-  if (tb->server != nullptr) {
-    tb->server->kernel().ResetAccounting();
-  }
-
-  eq.RunUntil(window_start + CyclesFromSeconds(window_s));
   Cycles window_end = eq.now();
   double sim_wall_ms = MonotonicMillis() - sim_start_ms;
 
@@ -413,6 +483,11 @@ ExperimentResult RunExperiment(const ExperimentSpec& spec) {
   r.memory.timer_capacity = ts.capacity;
   r.memory.timer_bytes_reserved = ts.bytes_reserved;
 
+  // The audit's verdict is the cell's (DESIGN.md §6.1). Check now, while a
+  // violation can still take a flight dump; fail once the trace is closed.
+  if (tb->audit != nullptr) {
+    tb->audit->Finalize();
+  }
   if (tracer != nullptr) {
     tracer->Finalize(window_end);
     if (metrics != nullptr) {
@@ -428,72 +503,10 @@ ExperimentResult RunExperiment(const ExperimentSpec& spec) {
   if (health != nullptr) {
     r.incidents = health->incidents();
   }
+  if (tb->audit != nullptr && !tb->audit->auditor().ok()) {
+    throw std::runtime_error(tb->audit->auditor().Report());
+  }
   return r;
-}
-
-AccuracyResult RunAccountingAccuracy(ServerConfig config, uint64_t requests) {
-  ExperimentSpec spec;
-  spec.config = config;
-  spec.clients = 0;
-
-  auto tb = BuildTestbed(spec);
-  EventQueue& eq = tb->eq;
-
-  // One serial client, driven manually so we can bracket exactly N
-  // requests. The serial-measurement client is fast (the paper's
-  // micro-measurement host), so idle time reflects the wire, not a slow
-  // client.
-  NetworkModel fast_client = NetworkModel::Calibrated();
-  fast_client.client_processing = CyclesFromMicros(250);
-  auto machine = std::make_unique<ClientMachine>(&eq, tb->link.get(), MacAddr::FromIndex(100),
-                                                 ClientIp(0), fast_client, 0x7ab1e1);
-  machine->AddArpEntry(kServerIp, kServerMac);
-  tb->server->AddArpEntry(ClientIp(0), machine->mac());
-  HttpClient client(machine.get(), kServerIp, "/doc1b");
-
-  // Warm caches with a handful of requests first.
-  client.max_requests = 5;
-  client.Start();
-  while (client.completed() < 5 && eq.Step()) {
-  }
-  // Let in-flight teardown settle.
-  eq.RunUntil(eq.now() + CyclesFromMillis(50));
-
-  tb->server->kernel().ResetAccounting();
-  Cycles start = eq.now();
-  client.max_requests = 5 + requests;
-  client.Start();
-  while (client.completed() < 5 + requests && eq.Step()) {
-  }
-  Cycles end = client.last_completion() != 0 ? client.last_completion() : eq.now();
-
-  AccuracyResult res;
-  res.requests = requests;
-  res.ledger = tb->server->kernel().Snapshot();
-  res.total_measured = end - start;
-  return res;
-}
-
-KillCostResult RunKillCost(ServerConfig config, int attacks) {
-  ExperimentSpec spec;
-  spec.config = config;
-  spec.clients = 0;
-  spec.cgi_attackers = 1;
-
-  auto tb = BuildTestbed(spec);
-  EventQueue& eq = tb->eq;
-  Cycles deadline = CyclesFromSeconds(static_cast<double>(attacks) + 2.0);
-  while (tb->server->paths_killed() < static_cast<uint64_t>(attacks) && eq.now() < deadline) {
-    if (!eq.Step()) {
-      break;
-    }
-  }
-  KillCostResult res;
-  res.kills = tb->server->paths_killed();
-  res.mean_cycles = tb->server->kill_cost_cycles().Mean();
-  res.min_cycles = tb->server->kill_cost_cycles().Min();
-  res.max_cycles = tb->server->kill_cost_cycles().Max();
-  return res;
 }
 
 }  // namespace escort

@@ -1,11 +1,13 @@
 // Experiment harness: builds the Figure 7 testbed, applies load, and
 // measures using the paper's protocol (warm-up, then a fixed measurement
 // window; the paper used 60 s + 10 s averages, scaled down here and
-// overridable through ESCORT_WARMUP_S / ESCORT_WINDOW_S).
+// overridable through ESCORT_WARMUP_S / ESCORT_WINDOW_S). Table 1 and
+// Table 2 close their windows on a count instead (StopRule).
 
 #ifndef SRC_WORKLOAD_EXPERIMENT_H_
 #define SRC_WORKLOAD_EXPERIMENT_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -19,6 +21,21 @@
 
 namespace escort {
 
+// When a run stops measuring.
+//  * kWindow: warm up for warmup_s, then measure for window_s.
+//  * kSerialRequests: Table 1's protocol. The one client runs on the
+//    micro-measurement host (250 us client processing), sends 5 warm-up
+//    requests and idles 50 ms; the window then opens and closes when the
+//    stop_count-th serial request completes.
+//  * kKills: Table 2's. The window opens at t = 0 and closes when
+//    stop_count paths have been killed.
+// The count rules ignore warmup_s and window_s. They stop at stop_count + 2
+// simulated seconds at the latest, and a run that gets there short of its
+// count throws.
+enum class StopRule { kWindow, kSerialRequests, kKills };
+
+const char* StopRuleName(StopRule rule);
+
 struct ExperimentSpec {
   bool linux_server = false;               // use the Apache/Linux comparator
   ServerConfig config = ServerConfig::kAccounting;
@@ -26,11 +43,19 @@ struct ExperimentSpec {
   std::string doc = "/doc1b";
   bool qos_stream = false;
   double syn_attack_rate = 0.0;            // SYNs/s from the untrusted subnet
-  int cgi_attackers = 0;                   // one attack/s each
+  int cgi_attackers = 0;                   // one attack per period each
+  Cycles cgi_attack_period = CyclesFromSeconds(1.0);
   double warmup_s = 0.6;
   double window_s = 2.0;
-  // Online attack detection (src/server/detect.h). kOff leaves the server
-  // exactly as before — no hooks installed, no blacklist created.
+  StopRule stop = StopRule::kWindow;
+  uint64_t stop_count = 0;                 // requests or kills (count rules)
+  // The §4.4.4 offender blacklist: the runaway handler records a strike,
+  // and one strike sends the source's later SYNs to a penalty listener
+  // with a one-connection budget.
+  bool blacklist = false;
+  // Online attack detection (src/server/detect.h). A detector feeds its
+  // own blacklist, which runaway kills feed too only when `blacklist` is
+  // set. kOff installs no hooks.
   DetectSpec detect;
   WebServerOptions server_options;         // config/scheduler filled in by Run
 
@@ -125,27 +150,11 @@ struct ExperimentResult {
 // for quick runs vs full fidelity.
 double EnvSeconds(const char* name, double fallback);
 
-// The full testbed: server + clients + optional attackers/QoS stream.
+// The full testbed: server + clients + optional attackers/QoS stream,
+// measured under spec.stop. Throws when a count rule misses its deadline or
+// the resource audit (src/kernel/audit.h) records a violation, so the sweep
+// reports the cell as failed.
 ExperimentResult RunExperiment(const ExperimentSpec& spec);
-
-// Table 1: N serial one-byte requests against an otherwise idle server;
-// returns the ledger covering exactly those requests.
-struct AccuracyResult {
-  CycleLedger ledger;
-  Cycles total_measured = 0;
-  uint64_t requests = 0;
-};
-AccuracyResult RunAccountingAccuracy(ServerConfig config, uint64_t requests = 100);
-
-// Table 2: launch runaway-CGI attacks and report the measured pathKill
-// reclamation cost.
-struct KillCostResult {
-  double mean_cycles = 0.0;
-  double min_cycles = 0.0;
-  double max_cycles = 0.0;
-  uint64_t kills = 0;
-};
-KillCostResult RunKillCost(ServerConfig config, int attacks = 10);
 
 }  // namespace escort
 

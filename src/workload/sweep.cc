@@ -92,6 +92,25 @@ std::string PathSafe(const std::string& id) {
   return out;
 }
 
+// Schema 7's `spec` block has a fixed key set (a new key would make every
+// document differ under --expect-equal), so the spec fields it lacks ride
+// along as tags, and only where a cell moves them off the default.
+void TagUnkeyedSpecFields(SweepCell* cell) {
+  const ExperimentSpec& spec = cell->spec;
+  if (spec.stop != StopRule::kWindow) {
+    cell->tags.emplace("stop", StopRuleName(spec.stop));
+    cell->tags.emplace("stop_count", std::to_string(spec.stop_count));
+  }
+  if (spec.blacklist) {
+    cell->tags.emplace("blacklist", "on");
+  }
+  if (spec.cgi_attack_period != ExperimentSpec().cgi_attack_period) {
+    char ms[32];
+    std::snprintf(ms, sizeof ms, "%g", MillisFromCycles(spec.cgi_attack_period));
+    cell->tags.emplace("cgi_attack_period_ms", ms);
+  }
+}
+
 }  // namespace
 
 SweepOptions ParseSweepArgs(int argc, char** argv) {
@@ -149,6 +168,7 @@ void Sweep::Run(const SweepOptions& opts) {
   for (SweepCell& cell : cells_) {
     cell.spec.warmup_s = EnvSeconds("ESCORT_WARMUP_S", cell.spec.warmup_s);
     cell.spec.window_s = EnvSeconds("ESCORT_WINDOW_S", cell.spec.window_s);
+    TagUnkeyedSpecFields(&cell);
   }
   // Tracing: each cell gets its own sink (cells run concurrently), and the
   // per-cell buffers are merged in grid order afterwards — one trace
@@ -243,19 +263,6 @@ const ExperimentResult& Sweep::Result(const std::string& id) const {
     Die("cell '" + id + "' failed: " + r.error);
   }
   return r.metrics.experiment;
-}
-
-double Sweep::Extra(const std::string& id, const std::string& key) const {
-  const CellResult& r = Cell(id);
-  if (!r.ok) {
-    Die("cell '" + id + "' failed: " + r.error);
-  }
-  for (const auto& [k, v] : r.metrics.extra) {
-    if (k == key) {
-      return v;
-    }
-  }
-  Die("cell '" + id + "' has no extra metric '" + key + "'");
 }
 
 int Sweep::failed_count() const {

@@ -43,7 +43,7 @@
 namespace escort {
 
 // What one cell measured: the common ExperimentResult block plus named
-// extras for bench-specific numbers (kill-cost min/max, penalty drops...).
+// extras that only a custom cell fills (the JSON `extra` block).
 struct CellMetrics {
   ExperimentResult experiment;
   std::vector<std::pair<std::string, double>> extra;
@@ -88,8 +88,8 @@ class Sweep {
 
   // Adds a cell measured by RunExperiment(spec).
   SweepCell& Add(std::string id, const ExperimentSpec& spec);
-  // Adds a cell with a custom body (Table 1/2, policy benches). The spec
-  // still carries whatever grid coordinates apply (config, clients, ...)
+  // Adds a cell with a custom body; perfbench uses one to wrap
+  // RunExperiment in a span. The spec still carries the grid coordinates
   // so the JSON record stays self-describing.
   SweepCell& AddCustom(std::string id, const ExperimentSpec& spec, CellFn run);
 
@@ -98,7 +98,10 @@ class Sweep {
 
   // Runs every cell (ESCORT_WARMUP_S / ESCORT_WINDOW_S are resolved into
   // each spec first, so the JSON records the values actually used), then
-  // writes opts.json_path if set. Results are stored in grid order.
+  // writes opts.json_path if set. Results are stored in grid order. Spec
+  // fields that the JSON `spec` block has no key for (stop rule, blacklist,
+  // CGI attack period) are recorded as tags when they differ from the
+  // default.
   void Run(const SweepOptions& opts);
 
   // Lookup by id; both die with a message on an unknown id, Result()
@@ -106,8 +109,6 @@ class Sweep {
   // silently zeroed tables).
   const CellResult& Cell(const std::string& id) const;
   const ExperimentResult& Result(const std::string& id) const;
-  // Named extra of a cell, dying if absent.
-  double Extra(const std::string& id, const std::string& key) const;
 
   const std::vector<SweepCell>& cells() const { return cells_; }
   const std::vector<CellResult>& results() const { return results_; }

@@ -429,5 +429,30 @@ TEST(BenchJson, SerializationIsDeterministic) {
   EXPECT_EQ(StripPerfBlocks(a.ToJson()), StripPerfBlocks(b.ToJson()));
 }
 
+// Spec fields the schema-7 `spec` block has no key for are recorded as
+// tags, only when moved off their defaults, and never over a bench's own.
+TEST(BenchJson, UnkeyedSpecFieldsBecomeTags) {
+  Sweep sweep("tag_probe");
+  ExperimentSpec moved;
+  moved.stop = StopRule::kKills;
+  moved.stop_count = 10;
+  moved.blacklist = true;
+  moved.cgi_attack_period = CyclesFromMillis(100);
+  auto empty = [](const ExperimentSpec&) { return CellMetrics(); };
+  sweep.AddCustom("moved", moved, empty).tags = {{"measurement", "probe"}, {"stop", "mine"}};
+  sweep.AddCustom("default", ExperimentSpec(), empty);
+  SweepOptions opts;
+  opts.jobs = 1;
+  sweep.Run(opts);
+
+  const std::map<std::string, std::string> want = {{"blacklist", "on"},
+                                                   {"cgi_attack_period_ms", "100"},
+                                                   {"measurement", "probe"},
+                                                   {"stop", "mine"},
+                                                   {"stop_count", "10"}};
+  EXPECT_EQ(sweep.cells()[0].tags, want);
+  EXPECT_TRUE(sweep.cells()[1].tags.empty());
+}
+
 }  // namespace
 }  // namespace escort

@@ -133,7 +133,10 @@ TEST(ParallelEquivalence, CustomCellsKeepGridOrder) {
   for (int i = 0; i < 6; ++i) {
     const std::string id = "cell" + std::to_string(i);
     EXPECT_EQ(sweep.Result(id).completions_total, static_cast<uint64_t>(i) * 100);
-    EXPECT_EQ(sweep.Extra(id, "index"), static_cast<double>(i));
+    const std::vector<std::pair<std::string, double>>& extra = sweep.Cell(id).metrics.extra;
+    ASSERT_EQ(extra.size(), 1u);
+    EXPECT_EQ(extra[0].first, "index");
+    EXPECT_EQ(extra[0].second, static_cast<double>(i));
     EXPECT_EQ(sweep.cells()[static_cast<size_t>(i)].id, id);
   }
 }

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <stdexcept>
 
+#include "src/sim/trace.h"
 #include "src/workload/experiment.h"
 
 namespace escort {
@@ -227,24 +228,78 @@ TEST(ExperimentHarness, EnvOverridesRespected) {
   EXPECT_DOUBLE_EQ(EnvSeconds("ESCORT_TEST_SECONDS", 9.9), 9.9);
 }
 
+ExperimentSpec CountSpec(ServerConfig config, StopRule stop, uint64_t count) {
+  ExperimentSpec spec;
+  spec.config = config;
+  spec.stop = stop;
+  spec.stop_count = count;
+  if (stop == StopRule::kKills) {
+    spec.clients = 0;
+    spec.cgi_attackers = 1;
+  }
+  return spec;
+}
+
 TEST(ExperimentHarness, AccuracyRunBalancesExactly) {
-  AccuracyResult r = RunAccountingAccuracy(ServerConfig::kAccounting, 10);
-  EXPECT_EQ(r.requests, 10u);
-  EXPECT_EQ(r.ledger.Total(), r.total_measured);
+  ExperimentResult r =
+      RunExperiment(CountSpec(ServerConfig::kAccounting, StopRule::kSerialRequests, 10));
+  // 5 warm-up requests, then the 10 the window covers.
+  EXPECT_EQ(r.completions_total, 5u + 10u);
+  EXPECT_EQ(r.ledger.Total(), r.window_cycles);
   EXPECT_GT(r.ledger.Get("Main Active Path"), 0u);
   EXPECT_GT(r.ledger.Get("Passive SYN Path"), 0u);
 }
 
 TEST(ExperimentHarness, KillCostMatchesTable2Band) {
-  KillCostResult r = RunKillCost(ServerConfig::kAccounting, 3);
-  EXPECT_EQ(r.kills, 3u);
+  ExperimentResult r = RunExperiment(CountSpec(ServerConfig::kAccounting, StopRule::kKills, 3));
+  EXPECT_EQ(r.paths_killed, 3u);
   // Calibrated near the paper's 17,951 cycles.
-  EXPECT_GT(r.mean_cycles, 10'000.0);
-  EXPECT_LT(r.mean_cycles, 30'000.0);
+  EXPECT_GT(r.kill_cost_mean, 10'000.0);
+  EXPECT_LT(r.kill_cost_mean, 30'000.0);
 
-  KillCostResult pd = RunKillCost(ServerConfig::kAccountingPd, 3);
+  ExperimentResult pd =
+      RunExperiment(CountSpec(ServerConfig::kAccountingPd, StopRule::kKills, 3));
   // Full separation costs several times more (paper: 111,568 vs 17,951).
-  EXPECT_GT(pd.mean_cycles, 3 * r.mean_cycles);
+  EXPECT_GT(pd.kill_cost_mean, 3 * r.kill_cost_mean);
+}
+
+// With nothing to kill, the kill rule must fail at its deadline rather than
+// return a short measurement.
+TEST(ExperimentHarness, KillRuleWithoutAttackersThrowsAtDeadline) {
+  ExperimentSpec spec = CountSpec(ServerConfig::kAccounting, StopRule::kKills, 1);
+  spec.cgi_attackers = 0;
+  try {
+    RunExperiment(spec);
+    FAIL() << "a kill rule that kills nothing returned a result";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("deadline"), std::string::npos) << e.what();
+  }
+}
+
+// A blacklist cell runs through the one instrumented runner: penalty-path
+// drops and cycles, a trace beyond metadata, and an incident.
+TEST(ExperimentHarness, BlacklistCellIsInstrumented) {
+  Tracer tracer{TraceConfig{}};
+  MetricsRegistry registry;
+  ExperimentSpec spec;
+  spec.clients = 8;
+  spec.cgi_attackers = 4;
+  spec.cgi_attack_period = CyclesFromMillis(100);
+  spec.blacklist = true;
+  spec.warmup_s = 0.1;
+  spec.window_s = 0.3;
+  spec.tracer = &tracer;
+  spec.metrics_registry = &registry;
+  ExperimentResult r = RunExperiment(spec);
+
+  EXPECT_GT(r.syns_dropped_at_demux, 0u);
+  EXPECT_EQ(r.ledger.totals().count("Penalty Path"), 1u);
+  EXPECT_GT(tracer.event_count(), 0u);
+  bool runaway_incident = false;
+  for (const IncidentRecord& inc : r.incidents) {
+    runaway_incident = runaway_incident || inc.trigger == "runaway-kill";
+  }
+  EXPECT_TRUE(runaway_incident);
 }
 
 }  // namespace
